@@ -1,0 +1,46 @@
+"""Golden reports: every shipped and corpus scenario, plus three RM-heavy ones.
+
+The files under ``tests/data/golden/`` were written by the code before the RM
+kernels dropped scipy. A rerun must reproduce each one byte for byte, apart
+from ``meta.timestamp``. A mismatch is a behaviour change to explain, not a
+file to rewrite.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from routebayes.pipeline import run_pipeline
+from routebayes.report import report_to_json
+from routebayes.scenario import load_scenario
+
+ROOT = Path(__file__).parents[1]
+GOLDEN = Path(__file__).parent / "data" / "golden"
+SCENARIOS = (
+    sorted((Path(__file__).parent / "data" / "corpus").glob("*.json"))
+    + sorted((ROOT / "scenarios").glob("*.json"))
+    + sorted((GOLDEN / "inputs").glob("*.json"))
+)
+
+
+def render(path: Path) -> str:
+    """The JSON report of every stage the scenario supports, timestamp blanked."""
+    scenario = load_scenario(path)
+    stages = ["evaluate", "optimize", "plan", "rm"] if scenario.routes else ["evaluate", "rm"]
+    report = run_pipeline(scenario, stages)
+    report.meta["timestamp"] = ""
+    return report_to_json(report)
+
+
+def test_every_scenario_has_a_golden_report():
+    assert len(SCENARIOS) == 13
+    assert sorted(p.name for p in GOLDEN.glob("*.json")) == sorted(p.name for p in SCENARIOS)
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_report_matches_golden(path):
+    want = (GOLDEN / path.name).read_text(encoding="utf-8")
+    got = render(path)
+    assert json.loads(got)["meta"]["timestamp"] == ""
+    assert got == want
