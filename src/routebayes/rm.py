@@ -6,10 +6,15 @@ rest of the booking limit. Accepted passengers show up independently with
 ``show_up_prob``; fares are collected from the passengers who show, and every
 survivor beyond physical capacity costs a flat denied-boarding amount.
 
-Expectations are exact sums over the truncated demand distributions (tail
-mass below 1e-9). The Monte Carlo path uses numpy's PCG64 generator seeded
-explicitly; draw order per trial is low demand, high demand, low show-ups,
-high show-ups, so identical inputs and seed reproduce summaries bit for bit.
+Expectations are exact sums over the truncated demand distributions. A
+Poisson pmf is built from ``exp(k log(mean) - mean - lgamma(k + 1))`` and cut
+at the smallest support whose tail mass is below 1e-9. The binomial show-up
+tails for the overbooking limit and the expected denied boardings come from
+one forward sweep over the number of bookings, with the point mass kept as
+mantissa and binary exponent so it cannot underflow. The Monte Carlo path
+uses numpy's PCG64 generator seeded explicitly; draw order per trial is low
+demand, high demand, low show-ups, high show-ups, so identical inputs and
+seed reproduce summaries bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import InvalidPolicy
 
@@ -27,6 +31,11 @@ logger = logging.getLogger(__name__)
 
 TAIL_MASS = 1e-9
 OVERBOOKING_SEARCH_FACTOR = 3
+
+
+def _tails(pmf) -> np.ndarray:
+    """P(D > y) for y = 0..len(pmf) - 1, summed from the top of the support."""
+    return np.append(np.cumsum(pmf[:0:-1])[::-1], 0.0)
 
 
 @dataclass(frozen=True)
@@ -44,13 +53,11 @@ class DemandModel:
             raise ValueError(f"poisson mean must be >= 0, got {mean!r}")
         if mean == 0:
             return cls("poisson", (1.0,), 0.0)
-        t = max(0, int(stats.poisson.isf(TAIL_MASS, mean)))
-        while stats.poisson.sf(t, mean) >= TAIL_MASS:
-            t += 1
-        while t > 0 and stats.poisson.sf(t - 1, mean) < TAIL_MASS:
-            t -= 1
-        pmf = stats.poisson.pmf(np.arange(t + 1), mean)
-        return cls("poisson", tuple(float(p) for p in pmf), float(mean))
+        # the mass beyond 40 standard deviations is far below double precision
+        k = np.arange(int(mean + 40 * math.sqrt(mean)) + 61)
+        pmf = np.exp(k * math.log(mean) - np.fromiter(map(math.lgamma, k + 1.0), float) - mean)
+        t = int(np.argmax(_tails(pmf) < TAIL_MASS))
+        return cls("poisson", tuple(pmf[: t + 1].tolist()), float(mean))
 
     @classmethod
     def discrete(cls, pmf: list[float]) -> "DemandModel":
@@ -138,44 +145,45 @@ def _check_policy(problem: LegRMProblem, policy: RMPolicy) -> None:
 def littlewood_protection(problem: LegRMProblem) -> int:
     """Smallest protection level y with P(high demand > y) <= fare_low / fare_high.
 
-    Evaluated on the truncated high-fare demand, so a level always exists.
+    Evaluated on the truncated high-fare demand, so a level always exists. A
+    level above capacity is clamped to it: no policy protects more seats than
+    the cabin has.
     """
-    ratio = problem.fare_low / problem.fare_high
-    dist = problem.demand_high
-    for y in range(dist.truncation + 1):
-        if dist.survival(y) <= ratio:
-            return y
-    return dist.truncation
+    tails = _tails(problem.demand_high.pmf)
+    return min(int(np.argmax(tails <= problem.fare_low / problem.fare_high)), problem.capacity)
 
 
-def _overage_table(max_booked: int, capacity: int, p: float) -> list[float]:
-    """E[max(0, survivors - capacity)] for each number of accepted bookings."""
-    table = [0.0] * (max_booked + 1)
-    for m in range(capacity + 1, max_booked + 1):
-        if p == 1.0:
-            table[m] = float(m - capacity)
-        else:
-            k = np.arange(capacity + 1, m + 1)
-            table[m] = float(np.sum(stats.binom.pmf(k, m, p) * (k - capacity)))
-    return table
+def _show_up_sweep(capacity: int, p: float, max_booked: int) -> tuple[np.ndarray, np.ndarray]:
+    """P(S_m >= capacity) and E[max(0, S_m - capacity)] for S_m ~ Bin(m, p), m <= max_booked.
+
+    A booking adds a survivor with probability p, so full[m+1] = full[m] +
+    p * P(S_m = capacity - 1) and over[m+1] = over[m] + p * full[m]. The point
+    mass is carried as a mantissa and a binary exponent because its start,
+    p**(capacity - 1), underflows at large capacities and low show-up rates.
+    """
+    full = np.zeros(max_booked + 1)
+    mantissa, exponent = 1.0, 0
+    for _ in range(capacity - 1):
+        mantissa, shift = math.frexp(mantissa * p)
+        exponent += shift
+    for m in range(capacity - 1, max_booked):
+        full[m + 1] = full[m] + p * math.ldexp(mantissa, exponent)
+        mantissa, shift = math.frexp(mantissa * (m + 1) / (m + 2 - capacity) * (1.0 - p))
+        exponent += shift
+    return full, np.append(0.0, np.cumsum(p * full[:-1]))
 
 
 def expected_revenue(problem: LegRMProblem, policy: RMPolicy) -> float:
     """Exact expected revenue of the policy under the booking protocol."""
     _check_policy(problem, policy)
-    low_cap = policy.booking_limit - policy.protection_level
-    over = _overage_table(policy.booking_limit, problem.capacity, problem.show_up_prob)
-    p = problem.show_up_prob
-    terms = []
-    for d_low, w_low in enumerate(problem.demand_low.pmf):
-        acc_low = min(d_low, low_cap)
-        high_room = policy.booking_limit - acc_low
-        for d_high, w_high in enumerate(problem.demand_high.pmf):
-            acc_high = min(d_high, high_room)
-            fares = p * (acc_low * problem.fare_low + acc_high * problem.fare_high)
-            penalty = problem.denied_cost * over[acc_low + acc_high]
-            terms.append(w_low * w_high * (fares - penalty))
-    return math.fsum(terms)
+    _, over = _show_up_sweep(problem.capacity, problem.show_up_prob, policy.booking_limit)
+    w_low = np.asarray(problem.demand_low.pmf)[:, None]
+    w_high = np.asarray(problem.demand_high.pmf)[None, :]
+    acc_low = np.minimum(np.arange(w_low.size), policy.booking_limit - policy.protection_level)[:, None]
+    acc_high = np.minimum(np.arange(w_high.size)[None, :], policy.booking_limit - acc_low)
+    fares = problem.show_up_prob * (acc_low * problem.fare_low + acc_high * problem.fare_high)
+    penalty = problem.denied_cost * over[acc_low + acc_high]
+    return math.fsum((w_low * w_high * (fares - penalty)).ravel().tolist())
 
 
 def overbooking_limit(problem: LegRMProblem) -> int:
@@ -186,19 +194,11 @@ def overbooking_limit(problem: LegRMProblem) -> int:
     show-up probability. The search stops at 3x capacity; hitting that cap is
     logged since it means overbooking incentives never turned negative.
     """
-    cap = problem.capacity
-    p = problem.show_up_prob
-    limit = cap
-    bound = OVERBOOKING_SEARCH_FACTOR * cap
-    for b in range(cap + 1, bound + 1):
-        if p == 1.0:
-            prob_full = 1.0 if b - 1 >= cap else 0.0
-        else:
-            prob_full = float(stats.binom.sf(cap - 1, b - 1, p))
-        if problem.fare_low - problem.denied_cost * prob_full > 0.0:
-            limit = b
-        else:
-            break
+    bound = OVERBOOKING_SEARCH_FACTOR * problem.capacity
+    full, _ = _show_up_sweep(problem.capacity, problem.show_up_prob, bound - 1)
+    limit = problem.capacity
+    while limit < bound and problem.fare_low - problem.denied_cost * full[limit] > 0.0:
+        limit += 1
     if limit == bound:
         logger.info("overbooking search hit the %dx capacity bound", OVERBOOKING_SEARCH_FACTOR)
     return limit

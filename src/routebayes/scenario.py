@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -125,8 +126,9 @@ def _expect_list(value, path: str) -> list:
 
 
 def _expect_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(path, f"expected a number, got {value!r}")
+    # the comparison is false for NaN and also rejects integers too large for a float
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ValidationError(path, f"expected a finite number, got {value!r}")
     return float(value)
 
 

@@ -114,3 +114,29 @@ def leg_revenue_bruteforce(problem, policy):
                     revenue = fl * s_low + fh * s_high - dc * denied
                     terms.append(w_low * w_high * pw_low * pw_high * revenue)
     return math.fsum(terms)
+
+
+def poisson_tail(mean, t):
+    """P(D > t) for D ~ Poisson(mean), summed upward from t + 1.
+
+    log((t + 1)!) is an exact sum of logs and later terms follow the ratio
+    mean / k, so this shares no code path with the library's lgamma pmf.
+    """
+    log_term = (t + 1) * math.log(mean) - mean - math.fsum(math.log(j) for j in range(2, t + 2))
+    terms = []
+    k = t + 1
+    while k <= mean or not terms or terms[-1] > 1e-30:
+        terms.append(math.exp(log_term))
+        k += 1
+        log_term += math.log(mean / k)
+    return math.fsum(terms)
+
+
+def binom_tail_log(n, p, c):
+    """P(Bin(n, p) >= c), each point mass taken from lgamma in log space."""
+    log_p, log_q = math.log(p), math.log1p(-p)
+    return math.fsum(
+        math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                 + k * log_p + (n - k) * log_q)
+        for k in range(c, n + 1)
+    )

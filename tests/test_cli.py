@@ -6,6 +6,7 @@ import pytest
 from routebayes.cli import main
 
 DEMO = str(Path(__file__).parents[1] / "scenarios" / "demo.json")
+OVER_PROTECTED = str(Path(__file__).parent / "data" / "regress" / "over_protected_leg.json")
 
 
 def write(tmp_path, doc, name="scenario.json"):
@@ -41,6 +42,22 @@ class TestExitCodes:
     def test_missing_file_is_three(self, tmp_path, capsys):
         assert main(["validate", "--scenario", str(tmp_path / "missing.json")]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["validate", "evaluate"])
+    @pytest.mark.parametrize("section,field,value", [
+        ("routes", "demand_pax_per_week", float("nan")),
+        ("rm_legs", "fare_high", float("inf")),
+        ("rm_legs", "denied_cost", 10**400),
+    ])
+    def test_non_finite_number_is_one(self, tmp_path, capsys, command, section, field, value):
+        doc = json.loads(Path(DEMO).read_text())
+        doc[section][0][field] = value
+        path = write(tmp_path, doc)
+        assert json.dumps(value) in Path(path).read_text()
+        assert main([command, "--scenario", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {section}[0].{field}: expected a finite number")
+        assert "Traceback" not in err
 
 
 class TestSubcommands:
@@ -79,6 +96,13 @@ class TestSubcommands:
         assert doc_a == doc_b
         assert doc_a["rm"]["trials"] == 400
         assert doc_a["rm"]["seed"] == 9
+
+    def test_rm_clamps_protection_to_capacity(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["rm", "--scenario", OVER_PROTECTED, "--format", "json",
+                     "--out", str(out)]) == 0
+        (leg,) = json.loads(out.read_text())["rm"]["legs"]
+        assert leg["protection_level"] == 50
 
     def test_table_to_stdout(self, capsys):
         assert main(["plan", "--scenario", DEMO]) == 0

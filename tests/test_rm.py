@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from _oracles import leg_revenue_bruteforce
+from _oracles import binom_pmf, binom_tail_log, leg_revenue_bruteforce, poisson_tail
 from routebayes.errors import InvalidPolicy
 from routebayes.rm import (
     DemandModel,
@@ -12,9 +16,12 @@ from routebayes.rm import (
     expected_revenue,
     fcfs_baseline,
     littlewood_protection,
+    _show_up_sweep,
     overbooking_limit,
     simulate_leg,
 )
+
+ROOT = Path(__file__).parents[1]
 
 
 def leg(capacity=10, fare_high=200.0, fare_low=100.0, demand_high=None, demand_low=None,
@@ -45,6 +52,12 @@ class TestDemandModel:
         model = DemandModel.poisson(12.0)
         assert model.mean() == pytest.approx(12.0, abs=1e-6)
 
+    @pytest.mark.parametrize("mean", [0.5, 1.0, 3.7, 12.0, 25.0, 80.0, 180.0, 640.0, 2000.0, 5000.0])
+    def test_poisson_truncation_is_smallest_below_tail_mass(self, mean):
+        t = DemandModel.poisson(mean).truncation
+        assert poisson_tail(mean, t) < 1e-9
+        assert poisson_tail(mean, t - 1) >= 1e-9
+
     def test_discrete_validation(self):
         with pytest.raises(ValueError):
             DemandModel.discrete([0.5, 0.6])
@@ -72,6 +85,20 @@ class TestLittlewood:
         problem = leg(fare_high=100.0, fare_low=30.0,
                       demand_high=DemandModel.deterministic(7))
         assert littlewood_protection(problem) == 7
+
+    def test_clamped_to_capacity(self):
+        problem = leg(capacity=5, fare_high=320.0, fare_low=110.0,
+                      demand_high=DemandModel.poisson(40))
+        assert littlewood_protection(problem) == 5
+
+    def test_matches_survival_scan(self):
+        for mean in (0.5, 6.0, 80.0, 300.0):
+            demand = DemandModel.poisson(mean)
+            for low in (20.0, 90.0, 170.0):
+                problem = leg(capacity=1000, fare_high=200.0, fare_low=low, demand_high=demand)
+                scan = next(y for y in range(demand.truncation + 1)
+                            if demand.survival(y) <= low / 200.0)
+                assert littlewood_protection(problem) == scan
 
     def test_monotone_in_fare_ratio(self):
         demand = DemandModel.poisson(6)
@@ -135,6 +162,20 @@ class TestExpectedRevenue:
                 assert best >= expected_revenue(problem, RMPolicy(y, capacity)) - 1e-9
 
 
+class TestShowUpSweep:
+    @pytest.mark.parametrize("p", [0.33, 0.85, 0.97, 1.0])
+    @pytest.mark.parametrize("capacity", [1, 7, 30])
+    def test_matches_comb_sums(self, capacity, p):
+        full, over = _show_up_sweep(capacity, p, 60)
+        for m in range(61):
+            masses = [binom_pmf(k, m, p) for k in range(m + 1)]
+            assert full[m] == pytest.approx(math.fsum(masses[capacity:]), rel=1e-12, abs=1e-300)
+            assert over[m] == pytest.approx(
+                math.fsum((k - capacity) * w for k, w in enumerate(masses) if k > capacity),
+                rel=1e-12, abs=1e-300,
+            )
+
+
 class TestOverbooking:
     def test_all_show_costly_denials(self):
         problem = leg(show_up_prob=1.0, denied_cost=150.0,
@@ -155,6 +196,14 @@ class TestOverbooking:
         limit = overbooking_limit(problem)
         scan = {b: expected_revenue(problem, RMPolicy(0, b)) for b in range(10, 31)}
         assert limit == max(scan, key=scan.get)
+
+    def test_large_capacity_low_show_up_does_not_underflow(self):
+        # p**(capacity - 1) is about 1e-1444 here, far below the double range
+        problem = leg(capacity=3000, show_up_prob=0.33, fare_low=100.0, denied_cost=10_000.0)
+        limit = overbooking_limit(problem)
+        assert limit < 3 * 3000
+        assert 100.0 - 10_000.0 * binom_tail_log(limit - 1, 0.33, 3000) > 0.0
+        assert 100.0 - 10_000.0 * binom_tail_log(limit, 0.33, 3000) <= 0.0
 
     def test_monotone_in_denied_cost(self):
         limits = [
@@ -242,3 +291,21 @@ class TestUplift:
                 expected_revenue(problem, RMPolicy(star, capacity))
                 >= fcfs_baseline(problem) - 1e-9
             )
+
+
+def test_rm_stage_never_imports_scipy():
+    code = (
+        "import sys\n"
+        "from routebayes.pipeline import run_pipeline\n"
+        "from routebayes.scenario import load_scenario\n"
+        "report = run_pipeline(load_scenario(sys.argv[1]), ['rm'], trials=200)\n"
+        "assert report.rm['legs'], 'no legs ran'\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "scenarios" / "demo.json")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
