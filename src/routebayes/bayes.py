@@ -179,11 +179,6 @@ class Evaluation:
             raise ValueError("evaluation carries no hypothesis set")
         return dict(zip(self.hypotheses.ids, self.posterior.values))
 
-    def contributions_by_id(self) -> dict[str, float]:
-        if self.hypotheses is None:
-            raise ValueError("evaluation carries no hypothesis set")
-        return dict(zip(self.hypotheses.ids, self.contributions))
-
     def top_contributor(self) -> str:
         """Id of the driver with the largest posterior share (first on ties)."""
         if self.hypotheses is None:

@@ -63,6 +63,10 @@ class UnknownFleet(RouteBayesError):
     """A route candidate references a fleet absent from availability."""
 
 
+class PlanTooLarge(RouteBayesError):
+    """A fleet's exact planning table would exceed the planner's cell limit."""
+
+
 class InvalidPolicy(RouteBayesError):
     """Revenue-management policy is inconsistent with the leg problem."""
 

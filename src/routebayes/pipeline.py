@@ -63,28 +63,27 @@ def _stage_context(name: str):
         raise
 
 
-def _assign_fleet(scenario: Scenario, route: Route) -> FleetType:
+def _assign_fleet(scenario: Scenario, route: Route) -> tuple[FleetType, FleetRequirement, float]:
+    """The pinned fleet, else the most profitable one in range (ties by name), sized."""
     pinned = scenario.pinned_fleets.get(route.id)
     if pinned is not None:
-        return scenario.fleet_by_name(pinned)
-    feasible = [f for f in scenario.fleets if range_feasible(route, f)]
-    if not feasible:
+        fleets = [scenario.fleet_by_name(pinned)]
+    else:
+        fleets = [f for f in scenario.fleets if range_feasible(route, f)]
+    if not fleets:
         raise ValidationError(f"routes[{route.id}]", "no fleet with sufficient range")
-
-    def profit_of(fleet: FleetType) -> float:
+    options = []
+    for fleet in fleets:
         req = fleet_requirement(route, fleet, scenario.target_load_factor)
-        return route_profit(route, fleet, req.flights_per_week)
-
-    return min(feasible, key=lambda f: (-profit_of(f), f.name))
+        options.append((fleet, req, route_profit(route, fleet, req.flights_per_week)))
+    return min(options, key=lambda option: (-option[2], option[0].name))
 
 
 def evaluate_routes(scenario: Scenario) -> list[RouteEvaluation]:
     """Assign fleets, size the operation, and score every route in order."""
     rows = []
     for route in scenario.routes:
-        fleet = _assign_fleet(scenario, route)
-        req = fleet_requirement(route, fleet, scenario.target_load_factor)
-        profit = route_profit(route, fleet, req.flights_per_week)
+        fleet, req, profit = _assign_fleet(scenario, route)
         likelihoods = component_likelihoods(route, profit, scenario.anchors)
         ev = evaluate(scenario.hypotheses, scenario.weights, likelihoods)
         rows.append(

@@ -1,11 +1,12 @@
 """Network selection: pick routes maximizing probability-weighted profit under fleet limits.
 
 Each candidate arrives with a pre-assigned fleet and an integer aircraft
-need, so the selection is a 0/1 knapsack with one capacity dimension per
-fleet type. Up to EXACT_SEARCH_LIMIT candidates the plan is solved exactly by
-depth-first branch and bound; larger instances fall back to a greedy ratio
-heuristic and the plan is flagged accordingly. Selection is a pure function
-of its inputs.
+need, and scores add up, so the multi-fleet 0/1 knapsack splits into one
+knapsack per fleet. Each is solved exactly, at any size, by an
+O(candidates x aircraft) dynamic program (Martello & Toth 1990, ch. 2).
+Ties resolve to the lexicographically smallest id tuple. A fleet whose
+table would exceed MAX_PLAN_CELLS raises PlanTooLarge rather than exhaust
+memory. Selection is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -13,9 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import UnknownFleet
+import numpy as np
 
-EXACT_SEARCH_LIMIT = 24
+from .errors import PlanTooLarge, UnknownFleet
+
+# Largest per-fleet DP table (candidates x aircraft levels) a plan may build.
+MAX_PLAN_CELLS = 10**8
 
 
 @dataclass(frozen=True)
@@ -70,6 +74,7 @@ class NetworkPlan:
     total_score: float
     per_route_scores: dict[str, float]
     heuristic: bool = False
+    """Always False: every plan is exact; kept so report readers find the key."""
 
 
 def score_candidate(candidate: RouteCandidate) -> float:
@@ -95,67 +100,38 @@ def _check_candidates(candidates: list[RouteCandidate], availability: FleetAvail
             )
 
 
-def _exact_select(items: list[tuple[RouteCandidate, float]], availability: FleetAvailability):
-    """Branch and bound over id-sorted positive-score candidates.
+def _fleet_select(items: list[tuple[RouteCandidate, float]], available: int) -> list[RouteCandidate]:
+    """Exact 0/1 knapsack over one fleet's id-sorted candidates that fit alone.
 
-    Scores accumulate left to right in route_id order, so the reported total
-    matches a plain ordered sum over the selected set. Ties in score resolve
-    toward the lexicographically smallest selected id tuple; pruning is
-    strict-only so tying subtrees stay reachable.
+    A backward pass over the candidates in reverse id order fills
+    ``best[c]``, the top score of the remaining candidates within ``c``
+    aircraft, and marks where taking candidate i scores ``>=`` skipping it.
+    Backtracking forward from full availability then takes every tied
+    candidate it can, which gives the lexicographically smallest id tuple.
     """
-    items = sorted(items, key=lambda cs: cs[0].route_id)
-    n = len(items)
-    suffix = [0.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + items[i][1]
-    best_score = 0.0
-    best_sel: tuple[str, ...] = ()
-    used = {name: 0 for name, _ in availability.items()}
-    sel: list[str] = []
-
-    def visit(idx: int, score: float) -> None:
-        nonlocal best_score, best_sel
-        if idx == n:
-            here = tuple(sel)
-            if score > best_score or (score == best_score and here < best_sel):
-                best_score = score
-                best_sel = here
-            return
-        if score + suffix[idx] < best_score:
-            return
-        cand, cand_score = items[idx]
-        if used[cand.fleet_name] + cand.aircraft_needed <= availability.get(cand.fleet_name):
-            used[cand.fleet_name] += cand.aircraft_needed
-            sel.append(cand.route_id)
-            visit(idx + 1, score + cand_score)
-            sel.pop()
-            used[cand.fleet_name] -= cand.aircraft_needed
-        visit(idx + 1, score)
-
-    visit(0, 0.0)
-    return best_score, best_sel
-
-
-def _greedy_select(items: list[tuple[RouteCandidate, float]], availability: FleetAvailability):
-    """Score-per-aircraft greedy; zero-need candidates rank first."""
-
-    def ratio(cs):
-        cand, score = cs
-        return score / cand.aircraft_needed if cand.aircraft_needed else float("inf")
-
-    ordered = sorted(items, key=lambda cs: (-ratio(cs), cs[0].route_id))
-    used = {name: 0 for name, _ in availability.items()}
+    if sum(cand.aircraft_needed for cand, _ in items) <= available:
+        return [cand for cand, _ in items]
+    width = available + 1
+    if len(items) * width > MAX_PLAN_CELLS:
+        raise PlanTooLarge(
+            f"fleet {items[0][0].fleet_name!r}: {len(items)} candidates x {width} aircraft levels "
+            f"exceeds the {MAX_PLAN_CELLS} cell planning table"
+        )
+    best = np.zeros(width)
+    take = np.zeros((len(items), width), dtype=bool)
+    for i in range(len(items) - 1, -1, -1):
+        cand, score = items[i]
+        need = cand.aircraft_needed
+        with_it = best[: width - need] + score
+        np.greater_equal(with_it, best[need:], out=take[i, need:])
+        np.maximum(best[need:], with_it, out=best[need:])
     chosen = []
-    for cand, _ in ordered:
-        if used[cand.fleet_name] + cand.aircraft_needed <= availability.get(cand.fleet_name):
-            used[cand.fleet_name] += cand.aircraft_needed
-            chosen.append(cand.route_id)
-    chosen.sort()
-    by_id = {cand.route_id: score for cand, score in items}
-    total = 0.0
-    for rid in chosen:
-        total += by_id[rid]
-    return total, tuple(chosen)
+    level = width - 1
+    for i, (cand, _) in enumerate(items):
+        if take[i, level]:
+            chosen.append(cand)
+            level -= cand.aircraft_needed
+    return chosen
 
 
 def select_routes(
@@ -164,29 +140,30 @@ def select_routes(
 ) -> NetworkPlan:
     """Choose the subset of candidates maximizing total score within availability.
 
-    Candidates with nonpositive score are never selected. The exact search
-    runs for at most EXACT_SEARCH_LIMIT positive-score candidates; beyond
-    that a greedy heuristic runs and the plan carries ``heuristic=True``.
+    Candidates with nonpositive score are never selected. Each fleet is
+    solved exactly on its own; ``total_score`` is the left-to-right sum of
+    the selected scores in route_id order.
     """
     if not isinstance(availability, FleetAvailability):
         availability = FleetAvailability(dict(availability))
     _check_candidates(candidates, availability)
     scores = {c.route_id: score_candidate(c) for c in candidates}
-    positive = [(c, scores[c.route_id]) for c in candidates if scores[c.route_id] > 0.0]
-    heuristic = len(positive) > EXACT_SEARCH_LIMIT
-    if heuristic:
-        total, chosen = _greedy_select(positive, availability)
-    else:
-        total, chosen = _exact_select(positive, availability)
-    by_id = {c.route_id: c for c in candidates}
-    used = {name: 0 for name, _ in availability.items()}
-    for rid in chosen:
-        cand = by_id[rid]
-        used[cand.fleet_name] += cand.aircraft_needed
+    by_fleet = {name: [] for name, _ in availability.items()}
+    for c in sorted(candidates, key=lambda c: c.route_id):
+        if scores[c.route_id] > 0.0 and c.aircraft_needed <= availability.get(c.fleet_name):
+            by_fleet[c.fleet_name].append((c, scores[c.route_id]))
+    chosen = sorted(
+        (c for name, items in by_fleet.items() for c in _fleet_select(items, availability.get(name))),
+        key=lambda c: c.route_id,
+    )
+    used = {name: 0 for name in by_fleet}
+    total = 0.0
+    for c in chosen:
+        used[c.fleet_name] += c.aircraft_needed
+        total += scores[c.route_id]
     return NetworkPlan(
-        selected=chosen,
+        selected=tuple(c.route_id for c in chosen),
         used=used,
         total_score=total,
         per_route_scores=scores,
-        heuristic=heuristic,
     )

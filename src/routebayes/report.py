@@ -200,8 +200,7 @@ def _table_text(report: Report) -> str:
         )
         if usage:
             lines.append(f"fleet usage: {usage}")
-        lines.append(f"total score: {plan['total_score']:.6g}"
-                     + (" (heuristic)" if plan["heuristic"] else ""))
+        lines.append(f"total score: {plan['total_score']:.6g}")
     if report.rm is not None:
         lines.append("")
         lines.append("== revenue management ==")

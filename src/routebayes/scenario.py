@@ -429,10 +429,14 @@ def load_scenario(path) -> Scenario:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not valid UTF-8: {exc.reason} at byte {exc.start}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
+    except (ValueError, RecursionError) as exc:  # an over-long integer, or nesting too deep
+        raise ParseError(str(exc)) from exc
     return scenario_from_dict(doc)
 
 

@@ -1,8 +1,8 @@
 """Independent reference computations used to cross-check the library.
 
 These deliberately avoid the code paths they verify: vertex enumeration for
-the weight optimizer, exhaustive subset enumeration for the network planner,
-and comb-based joint enumeration for leg revenue.
+the weight optimizer, exhaustive subset enumeration (whole or per fleet) for
+the network planner, and comb-based joint enumeration for leg revenue.
 """
 
 import math
@@ -90,6 +90,32 @@ def enumerate_best_plan(ids, scores, fleet_names, needs, availability):
     if best_score < 0.0:
         return 0.0, ()
     return best_score, best_sel
+
+
+def enumerate_best_plan_per_fleet(ids, scores, fleet_names, needs, availability):
+    """Exhaustive plan as the union of per-fleet optima, for larger instances.
+
+    A candidate uses aircraft of its own fleet only and scores add, so each
+    fleet is enumerated on its own with ``enumerate_best_plan``. The union is
+    sorted by id and re-summed left to right in that order.
+    """
+    chosen = []
+    for fleet in sorted(set(fleet_names)):
+        members = [i for i in range(len(ids)) if fleet_names[i] == fleet]
+        _, sel = enumerate_best_plan(
+            [ids[i] for i in members],
+            [scores[i] for i in members],
+            [fleet] * len(members),
+            [needs[i] for i in members],
+            {fleet: availability[fleet]},
+        )
+        chosen.extend(sel)
+    chosen.sort()
+    by_id = dict(zip(ids, scores))
+    total = 0.0
+    for rid in chosen:
+        total += by_id[rid]
+    return total, tuple(chosen)
 
 
 def binom_pmf(k, n, p):

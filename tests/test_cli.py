@@ -59,6 +59,45 @@ class TestExitCodes:
         assert err.startswith(f"error: {section}[0].{field}: expected a finite number")
         assert "Traceback" not in err
 
+    def test_over_long_integer_is_one(self, tmp_path, capsys):
+        # json.loads refuses integer literals over 4300 digits with a plain ValueError
+        seed = '"seed": ' + "9" * 5000 + ", "
+        path = tmp_path / "long.json"
+        path.write_text(Path(DEMO).read_text().replace("{", "{" + seed, 1))
+        assert main(["validate", "--scenario", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Exceeds the limit (4300 digits)")
+        assert "Traceback" not in err
+
+    def test_invalid_utf8_is_one(self, tmp_path, capsys):
+        path = tmp_path / "latin.json"
+        path.write_bytes(Path(DEMO).read_bytes().replace(b'"HUB"', b'"\xff\xfeHUB"', 1))
+        assert main(["validate", "--scenario", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: not valid UTF-8")
+        assert "Traceback" not in err
+
+    def test_deep_nesting_is_one(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["validate", "--scenario", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: maximum recursion depth")
+        assert "Traceback" not in err
+
+    def test_oversized_plan_is_one(self, tmp_path, capsys):
+        doc = json.loads(Path(DEMO).read_text())
+        wide = next(r for r in doc["routes"] if r["id"] == "hub_capital")
+        doc["routes"] = [dict(wide, id=f"wide_{k}", demand_pax_per_week=demand)
+                         for k, demand in enumerate((7e14, 8e14, 9e14))]
+        doc["availability"]["a320"] = 10**12
+        path = write(tmp_path, doc)
+        assert main(["validate", "--scenario", path]) == 0
+        assert main(["plan", "--scenario", path, "--format", "json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage plan: fleet 'a320'")
+        assert "Traceback" not in err
+
 
 class TestSubcommands:
     def test_evaluate_json_to_file(self, tmp_path):

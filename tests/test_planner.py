@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import enumerate_best_plan
-from routebayes.errors import UnknownFleet
+from _oracles import enumerate_best_plan, enumerate_best_plan_per_fleet
+from routebayes.errors import PlanTooLarge, UnknownFleet
 from routebayes.planner import (
-    EXACT_SEARCH_LIMIT,
     FleetAvailability,
     RouteCandidate,
     rank_routes,
@@ -35,14 +34,35 @@ def random_instance(rng, n, n_fleets=2):
     return candidates, availability
 
 
-def oracle(candidates, availability):
-    return enumerate_best_plan(
+def oracle(candidates, availability, enumerator=enumerate_best_plan):
+    return enumerator(
         [c.route_id for c in candidates],
         [score_candidate(c) for c in candidates],
         [c.fleet_name for c in candidates],
         [c.aircraft_needed for c in candidates],
         availability,
     )
+
+
+def per_fleet_instance(rng, integer_scores):
+    """Up to 16 candidates in each of 3 fleets, ids interleaved across fleets.
+
+    Integer-valued scores with needs 0-3 make many subsets tie exactly.
+    """
+    fleets = [name for name in ("f0", "f1", "f2") for _ in range(int(rng.integers(0, 17)))]
+    rng.shuffle(fleets)
+    candidates = []
+    for i, fleet in enumerate(fleets):
+        if integer_scores:
+            profit, prob = float(rng.integers(-2, 6)), 1.0
+        else:
+            profit, prob = float(rng.uniform(-50_000, 80_000)), float(rng.uniform(0.0, 1.0))
+        candidates.append(RouteCandidate(f"r{i:02d}", fleet, profit, prob, int(rng.integers(0, 4))))
+    availability = {}
+    for name in ("f0", "f1", "f2"):
+        total_need = sum(c.aircraft_needed for c in candidates if c.fleet_name == name)
+        availability[name] = int(rng.integers(0, total_need + 2))
+    return candidates, availability
 
 
 class TestScoreCandidate:
@@ -128,26 +148,90 @@ class TestSelectRoutes:
         assert plan.selected == ()
 
 
-class TestHeuristicPath:
-    def test_large_instance_flagged(self):
-        n = EXACT_SEARCH_LIMIT + 6
-        candidates = [cand(f"r{i:02d}", profit=10.0 + i) for i in range(n)]
-        plan = select_routes(candidates, {"f1": n})
-        assert plan.heuristic
+class TestPerFleetOracle:
+    @pytest.mark.parametrize("integer_scores", [False, True], ids=["random", "ties"])
+    def test_matches_per_fleet_enumeration(self, integer_scores):
+        rng = np.random.default_rng(314159 + integer_scores)
+        sizes = []
+        for _ in range(200):
+            candidates, availability = per_fleet_instance(rng, integer_scores)
+            plan = select_routes(candidates, availability)
+            best_score, best_sel = oracle(candidates, availability, enumerate_best_plan_per_fleet)
+            assert plan.selected == best_sel
+            assert plan.total_score == best_score
+            assert not plan.heuristic
+            sizes.append(len(candidates))
+        assert max(sizes) >= 40
+
+    def test_per_fleet_oracle_agrees_with_whole_enumeration(self):
+        rng = np.random.default_rng(2718)
+        for _ in range(40):
+            candidates, availability = random_instance(rng, int(rng.integers(1, 13)), n_fleets=3)
+            assert (oracle(candidates, availability, enumerate_best_plan_per_fleet)
+                    == oracle(candidates, availability))
+
+
+class TestEdgeCases:
+    def test_exact_ties_beyond_availability(self):
+        # five candidates tie at 7.0 with one aircraft each; three fit
+        candidates = [cand(rid, profit=7.0) for rid in ("e", "c", "a", "d", "b")]
+        plan = select_routes(candidates, {"f1": 3})
+        assert plan.selected == ("a", "b", "c")
+        assert plan.total_score == 21.0
+
+    def test_tie_between_one_large_and_two_small(self):
+        # {a} and {b, c} both score 6 within 2 aircraft; ("a",) < ("b", "c")
+        candidates = [cand("a", profit=6.0, need=2), cand("b", profit=3.0), cand("c", profit=3.0)]
+        assert select_routes(candidates, {"f1": 2}).selected == ("a",)
+        # {a, c} and {b, c} both score 5 within 3 aircraft
+        candidates = [cand("a", profit=4.0, need=2), cand("b", profit=4.0, need=2), cand("c", profit=1.0)]
+        assert select_routes(candidates, {"f1": 3}).selected == ("a", "c")
+
+    def test_zero_aircraft_candidates_with_zero_availability(self):
+        candidates = [
+            cand("a", need=0, profit=5.0),
+            cand("b", need=1, profit=50.0),
+            cand("c", need=0, profit=-5.0),
+            cand("d", need=0, profit=2.0, fleet="f2"),
+        ]
+        plan = select_routes(candidates, {"f1": 0, "f2": 0})
+        assert plan.selected == ("a", "d")
+        assert plan.used == {"f1": 0, "f2": 0}
+        assert plan.total_score == 7.0
+
+    def test_huge_availability_small_needs(self):
+        candidates = [cand(f"r{i:02d}", profit=1.0 + i, need=1 + i % 3) for i in range(40)]
+        plan = select_routes(candidates, {"f1": 10**15})
+        assert plan.selected == tuple(c.route_id for c in candidates)
+        assert plan.used == {"f1": sum(1 + i % 3 for i in range(40))}
+
+    def test_all_fit_huge_needs_select_everything(self):
+        needs = (4 * 10**11, 5 * 10**11, 6 * 10**11)
+        candidates = [cand(f"r{i}", need=need) for i, need in enumerate(needs)]
+        plan = select_routes(candidates, {"f1": 2 * 10**12})
+        assert plan.selected == ("r0", "r1", "r2")
+        assert plan.used == {"f1": sum(needs)}
+
+    def test_oversized_table_raises_plan_too_large(self):
+        needs = (4 * 10**11, 5 * 10**11, 6 * 10**11)
+        candidates = [cand(f"r{i}", fleet="wide", need=need) for i, need in enumerate(needs)]
+        with pytest.raises(PlanTooLarge, match="'wide'"):
+            select_routes(candidates, {"wide": 10**12})
+
+
+class TestLargeInstances:
+    def test_large_instance_exact(self):
+        candidates = [cand(f"r{i:02d}", profit=10.0 + i) for i in range(30)]
+        plan = select_routes(candidates, {"f1": 30})
+        assert not plan.heuristic
         assert plan.selected == tuple(sorted(c.route_id for c in candidates))
 
-    def test_greedy_respects_availability(self):
-        n = EXACT_SEARCH_LIMIT + 2
-        candidates = [cand(f"r{i:02d}", profit=100.0 - i, need=2) for i in range(n)]
+    def test_tight_availability_exact(self):
+        candidates = [cand(f"r{i:02d}", profit=100.0 - i, need=2) for i in range(26)]
         plan = select_routes(candidates, {"f1": 5})
-        assert plan.heuristic
-        used = sum(2 for _ in plan.selected)
-        assert used <= 5
-
-    def test_exact_just_below_threshold(self):
-        candidates = [cand(f"r{i:02d}", profit=1.0) for i in range(EXACT_SEARCH_LIMIT)]
-        plan = select_routes(candidates, {"f1": EXACT_SEARCH_LIMIT})
         assert not plan.heuristic
+        assert plan.selected == ("r00", "r01")
+        assert plan.used == {"f1": 4}
 
 
 class TestRankRoutes:
