@@ -16,7 +16,6 @@ from .bayes import (
     HypothesisSet,
     LikelihoodVector,
     WeightVector,
-    evaluate,
     posterior,
     total_probability,
     uniform_weights,
@@ -35,7 +34,7 @@ from .economics import (
     required_frequency,
     route_profit,
 )
-from .optimizer import BoxConstraints, OptimizationResult, optimize_weights, sensitivity
+from .optimizer import BoxConstraints, OptimizationResult, optimize_weights
 from .planner import (
     FleetAvailability,
     NetworkPlan,
@@ -68,7 +67,6 @@ __all__ = [
     "HypothesisSet",
     "LikelihoodVector",
     "WeightVector",
-    "evaluate",
     "posterior",
     "total_probability",
     "uniform_weights",
@@ -87,7 +85,6 @@ __all__ = [
     "BoxConstraints",
     "OptimizationResult",
     "optimize_weights",
-    "sensitivity",
     "FleetAvailability",
     "NetworkPlan",
     "RouteCandidate",

@@ -171,20 +171,6 @@ class Evaluation:
     total_probability: float
     contributions: tuple[float, ...]
     posterior: WeightVector
-    hypotheses: HypothesisSet | None = None
-
-    def posterior_by_id(self) -> dict[str, float]:
-        """Posterior keyed by hypothesis id (requires a labeled evaluation)."""
-        if self.hypotheses is None:
-            raise ValueError("evaluation carries no hypothesis set")
-        return dict(zip(self.hypotheses.ids, self.posterior.values))
-
-    def top_contributor(self) -> str:
-        """Id of the driver with the largest posterior share (first on ties)."""
-        if self.hypotheses is None:
-            raise ValueError("evaluation carries no hypothesis set")
-        best = max(range(len(self.posterior)), key=lambda i: (self.posterior[i], -i))
-        return self.hypotheses.ids[best]
 
 
 def validate_simplex(raw: Sequence[float], tolerance: float = SIMPLEX_TOLERANCE) -> WeightVector:
@@ -248,17 +234,3 @@ def posterior(weights: WeightVector, likelihoods: LikelihoodVector) -> Evaluatio
         raise ZeroEvidence("total probability is zero; posterior is undefined")
     post = WeightVector(tuple(c / total for c in contributions))
     return Evaluation(total, contributions, post)
-
-
-def evaluate(
-    hypotheses: HypothesisSet,
-    weights: WeightVector,
-    likelihoods: LikelihoodVector,
-) -> Evaluation:
-    """Run :func:`posterior` and attach hypothesis labels for reporting."""
-    if len(hypotheses) != len(weights):
-        raise LengthMismatch(
-            f"{len(hypotheses)} hypotheses vs {len(weights)} weights"
-        )
-    ev = posterior(weights, likelihoods)
-    return Evaluation(ev.total_probability, ev.contributions, ev.posterior, hypotheses)

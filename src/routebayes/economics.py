@@ -105,7 +105,7 @@ class AnchorPair:
 
     def __post_init__(self):
         if self.worst == self.best:
-            raise DegenerateAnchors(f"worst == best == {self.worst!r}")
+            raise DegenerateAnchors(f"worst and best anchors must differ, both are {self.worst!r}")
 
 
 @dataclass(frozen=True)
@@ -113,12 +113,14 @@ class ScoringAnchors:
     """Anchors per driver (service, capital, cost) plus the clamp epsilon.
 
     Orientation lives in the anchor values: for tied-up capital the worst
-    anchor is the larger figure, so lower capital scores higher.
+    anchor is the larger figure, so lower capital scores higher. The default
+    scales are placeholders; real studies should set anchors that match
+    their currency scale.
     """
 
-    service: AnchorPair
-    capital: AnchorPair
-    cost: AnchorPair
+    service: AnchorPair = AnchorPair(0.0, 1.0)
+    capital: AnchorPair = AnchorPair(10_000_000.0, 0.0)
+    cost: AnchorPair = AnchorPair(-100_000.0, 100_000.0)
     epsilon: float = 0.01
 
     def __post_init__(self):
@@ -198,8 +200,6 @@ def fleet_requirement(route: Route, fleet: FleetType, target_load_factor: float)
 
 
 def _anchor_score(value: float, pair: AnchorPair, epsilon: float) -> float:
-    if pair.worst == pair.best:
-        raise DegenerateAnchors(f"worst == best == {pair.worst!r}")
     raw = (value - pair.worst) / (pair.best - pair.worst)
     return min(max(raw, epsilon), 1.0 - epsilon)
 

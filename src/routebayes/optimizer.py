@@ -115,17 +115,3 @@ def optimize_weights(
             flags.append(INTERIOR)
     return OptimizationResult(weights, objective, tuple(flags))
 
-
-def sensitivity(weights: WeightVector, likelihoods: LikelihoodVector) -> list[float]:
-    """Transfer coefficients of the (linear) objective.
-
-    Moving mass eps from driver j to driver i changes the total probability by
-    exactly eps * (L[i] - L[j]), so the coefficient vector is the likelihood
-    vector itself, independent of the current weights. The weights argument is
-    kept to mark the operating point the caller is reasoning about.
-    """
-    if len(weights) != len(likelihoods):
-        raise LengthMismatch(
-            f"{len(weights)} weights vs {len(likelihoods)} likelihoods"
-        )
-    return list(likelihoods.values)

@@ -19,10 +19,10 @@ from typing import Iterable
 import numpy as np
 
 from . import __version__
-from .bayes import Evaluation, LikelihoodVector, WeightVector, evaluate, total_probability
+from .bayes import Evaluation, LikelihoodVector, WeightVector, posterior, total_probability
 from .economics import FleetRequirement, FleetType, Route, component_likelihoods, fleet_requirement, range_feasible, route_profit
 from .errors import RouteBayesError, ValidationError
-from .optimizer import BoxConstraints, OptimizationResult, optimize_weights, sensitivity
+from .optimizer import BoxConstraints, OptimizationResult, optimize_weights
 from .planner import NetworkPlan, RouteCandidate, select_routes
 from .report import Report
 from .rm import RMPolicy, expected_revenue, fcfs_baseline, littlewood_protection, overbooking_limit, simulate_leg
@@ -63,6 +63,17 @@ def _stage_context(name: str):
         raise
 
 
+def _each(section: str, records, work) -> list:
+    """``work(index, record)`` per record; a ValueError or ArithmeticError names the record's id."""
+    results = []
+    for index, record in enumerate(records):
+        try:
+            results.append(work(index, record))
+        except (ValueError, ArithmeticError) as exc:
+            raise ValidationError(f"{section}[{record.id}]", str(exc)) from exc
+    return results
+
+
 def _assign_fleet(scenario: Scenario, route: Route) -> tuple[FleetType, FleetRequirement, float]:
     """The pinned fleet, else the most profitable one in range (ties by name), sized."""
     pinned = scenario.pinned_fleets.get(route.id)
@@ -70,8 +81,6 @@ def _assign_fleet(scenario: Scenario, route: Route) -> tuple[FleetType, FleetReq
         fleets = [scenario.fleet_by_name(pinned)]
     else:
         fleets = [f for f in scenario.fleets if range_feasible(route, f)]
-    if not fleets:
-        raise ValidationError(f"routes[{route.id}]", "no fleet with sufficient range")
     options = []
     for fleet in fleets:
         req = fleet_requirement(route, fleet, scenario.target_load_factor)
@@ -79,25 +88,24 @@ def _assign_fleet(scenario: Scenario, route: Route) -> tuple[FleetType, FleetReq
     return min(options, key=lambda option: (-option[2], option[0].name))
 
 
+def _evaluate_route(scenario: Scenario, route: Route) -> RouteEvaluation:
+    fleet, req, profit = _assign_fleet(scenario, route)
+    likelihoods = component_likelihoods(route, profit, scenario.anchors)
+    ev = posterior(scenario.weights, likelihoods)
+    return RouteEvaluation(
+        route=route,
+        fleet=fleet,
+        requirement=req,
+        profit=profit,
+        likelihoods=likelihoods,
+        evaluation=ev,
+        score=ev.total_probability * profit,
+    )
+
+
 def evaluate_routes(scenario: Scenario) -> list[RouteEvaluation]:
     """Assign fleets, size the operation, and score every route in order."""
-    rows = []
-    for route in scenario.routes:
-        fleet, req, profit = _assign_fleet(scenario, route)
-        likelihoods = component_likelihoods(route, profit, scenario.anchors)
-        ev = evaluate(scenario.hypotheses, scenario.weights, likelihoods)
-        rows.append(
-            RouteEvaluation(
-                route=route,
-                fleet=fleet,
-                requirement=req,
-                profit=profit,
-                likelihoods=likelihoods,
-                evaluation=ev,
-                score=ev.total_probability * profit,
-            )
-        )
-    return rows
+    return _each("routes", scenario.routes, lambda _, route: _evaluate_route(scenario, route))
 
 
 def mean_likelihoods(rows: list[RouteEvaluation]) -> LikelihoodVector:
@@ -120,9 +128,7 @@ def _optimize(scenario: Scenario, rows: list[RouteEvaluation]):
     constraints = scenario.constraints
     if constraints is None:
         constraints = BoxConstraints.full(len(scenario.hypotheses))
-    result = optimize_weights(likelihoods, constraints)
-    coeffs = sensitivity(result.weights, likelihoods)
-    return result, coeffs
+    return optimize_weights(likelihoods, constraints), likelihoods
 
 
 def build_candidates(rows: list[RouteEvaluation], weights: WeightVector) -> list[RouteCandidate]:
@@ -143,6 +149,12 @@ def _leg_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([base_seed, index]).generate_state(1, np.uint64)[0])
 
 
+def _top_driver(ids: tuple[str, ...], evaluation: Evaluation) -> str:
+    """Id of the driver with the largest posterior share, the first one on ties."""
+    shares = evaluation.posterior.values
+    return ids[shares.index(max(shares))]
+
+
 def _evaluation_section(scenario: Scenario, rows: list[RouteEvaluation]) -> dict:
     return round_tree(
         {
@@ -160,7 +172,7 @@ def _evaluation_section(scenario: Scenario, rows: list[RouteEvaluation]) -> dict
                     "likelihoods": list(row.likelihoods.values),
                     "total_probability": row.evaluation.total_probability,
                     "posterior": list(row.evaluation.posterior.values),
-                    "top_driver": row.evaluation.top_contributor(),
+                    "top_driver": _top_driver(scenario.hypotheses.ids, row.evaluation),
                     "score": row.score,
                 }
                 for row in rows
@@ -169,14 +181,16 @@ def _evaluation_section(scenario: Scenario, rows: list[RouteEvaluation]) -> dict
     )
 
 
-def _optimization_section(scenario: Scenario, result: OptimizationResult, coeffs) -> dict:
+def _optimization_section(scenario: Scenario, result: OptimizationResult, likelihoods: LikelihoodVector) -> dict:
     return round_tree(
         {
             "hypotheses": list(scenario.hypotheses.ids),
             "weights": list(result.weights.values),
             "objective": result.objective,
             "active_bounds": list(result.active_bounds),
-            "sensitivity": list(coeffs),
+            # moving mass eps from driver j to driver i changes the linear objective by
+            # eps * (L[i] - L[j]), so the transfer coefficients are the likelihoods
+            "sensitivity": list(likelihoods.values),
         }
     )
 
@@ -195,34 +209,34 @@ def _plan_section(scenario: Scenario, plan: NetworkPlan, weights_label: str) -> 
     )
 
 
+def _rm_leg(leg, trials: int, seed: int) -> dict:
+    problem = leg.problem
+    protection = littlewood_protection(problem)
+    limit = overbooking_limit(problem)
+    policy = RMPolicy(protection_level=protection, booking_limit=limit)
+    expected = expected_revenue(problem, policy)
+    fcfs = fcfs_baseline(problem)
+    uplift = 100.0 * (expected - fcfs) / fcfs if fcfs != 0.0 else None
+    summary = simulate_leg(problem, policy, trials, seed)
+    return {
+        "leg_id": leg.id,
+        "protection_level": protection,
+        "booking_limit": limit,
+        "expected_revenue": expected,
+        "fcfs_revenue": fcfs,
+        "uplift_pct": uplift,
+        "simulation": {
+            "mean_revenue": summary.mean_revenue,
+            "mean_load_factor": summary.mean_load_factor,
+            "denied_rate": summary.denied_rate,
+            "spill_rate": summary.spill_rate,
+            "mean_revenue_se": summary.mean_revenue_se,
+        },
+    }
+
+
 def _rm_section(scenario: Scenario, trials: int, seed: int) -> dict:
-    legs = []
-    for index, leg in enumerate(scenario.rm_legs):
-        problem = leg.problem
-        protection = littlewood_protection(problem)
-        limit = overbooking_limit(problem)
-        policy = RMPolicy(protection_level=protection, booking_limit=limit)
-        expected = expected_revenue(problem, policy)
-        fcfs = fcfs_baseline(problem)
-        uplift = 100.0 * (expected - fcfs) / fcfs if fcfs != 0.0 else None
-        summary = simulate_leg(problem, policy, trials, _leg_seed(seed, index))
-        legs.append(
-            {
-                "leg_id": leg.id,
-                "protection_level": protection,
-                "booking_limit": limit,
-                "expected_revenue": expected,
-                "fcfs_revenue": fcfs,
-                "uplift_pct": uplift,
-                "simulation": {
-                    "mean_revenue": summary.mean_revenue,
-                    "mean_load_factor": summary.mean_load_factor,
-                    "denied_rate": summary.denied_rate,
-                    "spill_rate": summary.spill_rate,
-                    "mean_revenue_se": summary.mean_revenue_se,
-                },
-            }
-        )
+    legs = _each("rm_legs", scenario.rm_legs, lambda index, leg: _rm_leg(leg, trials, _leg_seed(seed, index)))
     return round_tree({"trials": trials, "seed": seed, "legs": legs})
 
 
@@ -235,6 +249,10 @@ def run_pipeline(
     """Run the requested stages and assemble the report."""
     requested = _normalize_stages(stages)
     rm_seed = scenario.seed if seed is None else seed
+    if rm_seed < 0:
+        raise ValidationError("seed", f"must be >= 0, got {rm_seed!r}")
+    if trials < 1:
+        raise ValidationError("trials", f"must be >= 1, got {trials!r}")
     meta = {
         "schema_version": scenario.schema_version,
         "seed": scenario.seed,

@@ -31,6 +31,10 @@ logger = logging.getLogger(__name__)
 
 TAIL_MASS = 1e-9
 OVERBOOKING_SEARCH_FACTOR = 3
+#: Largest work a leg may ask for: the Poisson support built before truncation,
+#: the overbooking sweep over 3 x capacity bookings, and the |D_low| x |D_high|
+#: expected-revenue grid each stay within this many cells.
+MAX_RM_CELLS = 10**6
 
 
 def _tails(pmf) -> np.ndarray:
@@ -54,7 +58,10 @@ class DemandModel:
         if mean == 0:
             return cls("poisson", (1.0,), 0.0)
         # the mass beyond 40 standard deviations is far below double precision
-        k = np.arange(int(mean + 40 * math.sqrt(mean)) + 61)
+        size = int(mean + 40 * math.sqrt(mean)) + 61
+        if size > MAX_RM_CELLS:
+            raise ValueError(f"poisson mean {mean!r} needs {size} support points, over the limit of {MAX_RM_CELLS}")
+        k = np.arange(size)
         pmf = np.exp(k * math.log(mean) - np.fromiter(map(math.lgamma, k + 1.0), float) - mean)
         t = int(np.argmax(_tails(pmf) < TAIL_MASS))
         return cls("poisson", tuple(pmf[: t + 1].tolist()), float(mean))
@@ -118,6 +125,14 @@ class LegRMProblem:
             raise ValueError(f"show_up_prob must be in (0, 1], got {self.show_up_prob!r}")
         if self.denied_cost < 0:
             raise ValueError(f"denied_cost must be >= 0, got {self.denied_cost!r}")
+        if OVERBOOKING_SEARCH_FACTOR * self.capacity > MAX_RM_CELLS:
+            raise ValueError(
+                f"capacity {self.capacity} needs an overbooking sweep of "
+                f"{OVERBOOKING_SEARCH_FACTOR * self.capacity} bookings, over the limit of {MAX_RM_CELLS}"
+            )
+        cells = len(self.demand_low.pmf) * len(self.demand_high.pmf)
+        if cells > MAX_RM_CELLS:
+            raise ValueError(f"the demand supports span {cells} revenue cells, over the limit of {MAX_RM_CELLS}")
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,21 @@ A scenario is one self-contained JSON object with top-level keys
 ``schema_version``, ``hypotheses``, ``weights``, ``constraints``, ``anchors``,
 ``target_load_factor``, ``fleets``, ``availability``, ``routes``, ``rm_legs``
 and ``seed``. Everything except ``schema_version`` is optional; defaults are
-documented in the README. Loading validates every cross-reference and vector
-and returns a fully resolved Scenario. The parsed source document is kept on
-the Scenario so canonical re-serialization round-trips exactly for files
-written with at most 12 significant digits.
+documented in the README. The parsed source document is kept on the Scenario
+so canonical re-serialization round-trips exactly for files written with at
+most 12 significant digits.
+
+Validation has two layers. This module checks what no single value can know:
+JSON shape and types, unknown keys, duplicate ids, references between
+records, fleet range coverage, the 3-driver rule for routes, the load factor
+and the seed. Each record is read by one field table (key -> reader) and
+handed to its domain constructor (``Route``, ``FleetType``, ``AnchorPair``,
+``ScoringAnchors``, ``FleetAvailability``, ``HypothesisSet``,
+``validate_simplex``, ``BoxConstraints``, ``DemandModel``, ``LegRMProblem``),
+which owns every value range and every default; an optional key that is
+absent is not passed. ``_build`` turns a constructor's error into a
+ValidationError at the record's path, except InfeasibleConstraints, which
+keeps its own exit code.
 """
 
 from __future__ import annotations
@@ -19,22 +30,15 @@ import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .bayes import (
-    DEFAULT_DRIVERS,
-    Hypothesis,
-    HypothesisSet,
-    WeightVector,
-    uniform_weights,
-    validate_simplex,
-)
+from .bayes import DEFAULT_DRIVERS, Hypothesis, HypothesisSet, WeightVector, uniform_weights, validate_simplex
 from .economics import AnchorPair, FleetType, Route, ScoringAnchors, range_feasible
 from .errors import (
     DanglingReference,
+    InfeasibleConstraints,
     IoError,
-    NegativeEntry,
     ParseError,
+    RouteBayesError,
     SchemaVersionUnsupported,
-    SumOutOfTolerance,
     ValidationError,
 )
 from .optimizer import BoxConstraints
@@ -44,14 +48,6 @@ from .rm import DemandModel, LegRMProblem
 SCHEMA_VERSION = "1"
 
 DEFAULT_TARGET_LOAD_FACTOR = 0.8
-
-#: Placeholder anchor scales used when a scenario does not provide its own.
-#: Real studies should always set anchors that match their currency scale.
-DEFAULT_ANCHORS = ScoringAnchors(
-    service=AnchorPair(0.0, 1.0),
-    capital=AnchorPair(10_000_000.0, 0.0),
-    cost=AnchorPair(-100_000.0, 100_000.0),
-)
 
 _TOP_KEYS = (
     "schema_version",
@@ -65,20 +61,6 @@ _TOP_KEYS = (
     "routes",
     "rm_legs",
     "seed",
-)
-
-_ROUTE_KEYS = (
-    "id",
-    "origin",
-    "destination",
-    "distance_km",
-    "demand_pax_per_week",
-    "average_fare",
-    "block_hours_per_flight",
-    "cost_per_block_hour",
-    "fixed_cost_per_flight",
-    "service_score",
-    "tied_capital",
 )
 
 
@@ -132,9 +114,19 @@ def _expect_number(value, path: str) -> float:
     return float(value)
 
 
+def _expect_numbers(value, path: str) -> list[float]:
+    return [_expect_number(v, f"{path}[{i}]") for i, v in enumerate(_expect_list(value, path))]
+
+
 def _expect_int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(path, f"expected an integer, got {value!r}")
+    return value
+
+
+def _expect_text(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(path, f"expected a string, got {value!r}")
     return value
 
 
@@ -150,227 +142,170 @@ def _reject_unknown(obj: dict, allowed, path: str) -> None:
             raise ValidationError(f"{path}.{key}" if path else key, "unknown key")
 
 
+#: Record keys that may be absent. Every other key in a field table is required.
+_OPTIONAL = frozenset(
+    ("label", "description", "service", "capital", "cost", "epsilon", "fleet", "show_up_prob", "denied_cost")
+)
+
+
+def _read(value, path: str, fields: dict) -> dict:
+    """Read one record by its field table (key -> reader); absent optional keys are left out."""
+    obj = _expect_object(value, path)
+    if not obj.keys() <= fields.keys():
+        _reject_unknown(obj, fields, path)
+    return {key: read(obj.get(key), f"{path}.{key}")
+            for key, read in fields.items() if key in obj or key not in _OPTIONAL}
+
+
+def _read_list(doc: dict, section: str, fields: dict) -> list[tuple[str, dict]]:
+    """(path, fields) for each record of an optional top-level list."""
+    entries = _expect_list(doc.get(section, []), section)
+    return [(f"{section}[{i}]", _read(entry, f"{section}[{i}]", fields)) for i, entry in enumerate(entries)]
+
+
+def _build(path: str, make, *args, **kwargs):
+    """Call a domain constructor; the value error it raises becomes a ValidationError at ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except InfeasibleConstraints:
+        raise  # the CLI maps it to its own exit code
+    except (ValueError, RouteBayesError) as exc:
+        raise ValidationError(path, str(exc)) from exc
+
+
+def _reject_duplicates(records: list[tuple[str, dict]], key: str, noun: str) -> None:
+    seen = set()
+    for path, fields in records:
+        if fields[key] in seen:
+            raise ValidationError(f"{path}.{key}", f"duplicate {noun} {fields[key]!r}")
+        seen.add(fields[key])
+
+
+def _anchor_pair(value, path: str) -> AnchorPair:
+    return _build(path, AnchorPair, **_read(value, path, _ANCHOR_PAIR))
+
+
+def _parse_demand(value, path: str) -> DemandModel:
+    kind = _expect_str(_expect_object(value, path).get("kind"), f"{path}.kind")
+    if kind == "poisson":
+        return _build(path, DemandModel.poisson, _read(value, path, _POISSON)["mean"])
+    if kind == "discrete":
+        return _build(f"{path}.pmf", DemandModel.discrete, _read(value, path, _DISCRETE)["pmf"])
+    raise ValidationError(f"{path}.kind", f"must be 'poisson' or 'discrete', got {kind!r}")
+
+
+_HYPOTHESIS = {"id": _expect_str, "label": _expect_text, "description": _expect_text}
+_CONSTRAINTS = {"lower": _expect_numbers, "upper": _expect_numbers}
+_ANCHOR_PAIR = {"worst": _expect_number, "best": _expect_number}
+_ANCHORS = {"service": _anchor_pair, "capital": _anchor_pair, "cost": _anchor_pair, "epsilon": _expect_number}
+_FLEET = {
+    "name": _expect_str,
+    "seats": _expect_int,
+    "range_km": _expect_number,
+    "utilization_block_hours_per_week": _expect_number,
+}
+_ROUTE = {
+    "id": _expect_str,
+    "origin": _expect_str,
+    "destination": _expect_str,
+    **dict.fromkeys(
+        ("distance_km", "demand_pax_per_week", "average_fare", "block_hours_per_flight",
+         "cost_per_block_hour", "fixed_cost_per_flight", "service_score", "tied_capital"),
+        _expect_number,
+    ),
+    "fleet": _expect_str,
+}
+_POISSON = {"kind": _expect_str, "mean": _expect_number}
+_DISCRETE = {"kind": _expect_str, "pmf": _expect_numbers}
+_LEG = {
+    "id": _expect_str,
+    "capacity": _expect_int,
+    "fare_high": _expect_number,
+    "fare_low": _expect_number,
+    "demand_high": _parse_demand,
+    "demand_low": _parse_demand,
+    "show_up_prob": _expect_number,
+    "denied_cost": _expect_number,
+}
+
+
 def _parse_hypotheses(doc: dict) -> HypothesisSet:
     if "hypotheses" not in doc:
         return DEFAULT_DRIVERS
     entries = _expect_list(doc["hypotheses"], "hypotheses")
-    if not entries:
-        raise ValidationError("hypotheses", "must list at least one hypothesis")
-    parsed = []
-    for i, entry in enumerate(entries):
-        path = f"hypotheses[{i}]"
-        obj = _expect_object(entry, path)
-        _reject_unknown(obj, ("id", "label", "description"), path)
-        parsed.append(
-            Hypothesis(
-                _expect_str(obj.get("id"), f"{path}.id"),
-                str(obj.get("label", "")),
-                str(obj.get("description", "")),
-            )
-        )
-    try:
-        return HypothesisSet(tuple(parsed))
-    except ValueError as exc:
-        raise ValidationError("hypotheses", str(exc)) from exc
+    return _build("hypotheses", HypothesisSet, tuple(
+        Hypothesis(**_read(entry, f"hypotheses[{i}]", _HYPOTHESIS)) for i, entry in enumerate(entries)
+    ))
 
 
 def _parse_weights(doc: dict, n: int) -> WeightVector:
     if "weights" not in doc:
         return uniform_weights(n)
-    values = _expect_list(doc["weights"], "weights")
-    numbers = [_expect_number(v, f"weights[{i}]") for i, v in enumerate(values)]
+    numbers = _expect_numbers(doc["weights"], "weights")
     if len(numbers) != n:
         raise ValidationError("weights", f"expected {n} entries, got {len(numbers)}")
-    try:
-        return validate_simplex(numbers)
-    except SumOutOfTolerance as exc:
-        raise ValidationError("weights", f"sum {exc.total!r} outside 1 +/- {exc.tolerance!r}") from exc
-    except NegativeEntry as exc:
-        raise ValidationError(f"weights[{exc.index}]", "must be >= 0") from exc
+    return _build("weights", validate_simplex, numbers)
 
 
 def _parse_constraints(doc: dict, n: int) -> BoxConstraints | None:
     if "constraints" not in doc:
         return None
-    obj = _expect_object(doc["constraints"], "constraints")
-    _reject_unknown(obj, ("lower", "upper"), "constraints")
-    lower = [_expect_number(v, f"constraints.lower[{i}]")
-             for i, v in enumerate(_expect_list(obj.get("lower"), "constraints.lower"))]
-    upper = [_expect_number(v, f"constraints.upper[{i}]")
-             for i, v in enumerate(_expect_list(obj.get("upper"), "constraints.upper"))]
-    if len(lower) != n or len(upper) != n:
+    bounds = _read(doc["constraints"], "constraints", _CONSTRAINTS)
+    if len(bounds["lower"]) != n or len(bounds["upper"]) != n:
         raise ValidationError(
-            "constraints", f"expected {n} lower and upper bounds, got {len(lower)}/{len(upper)}"
+            "constraints", f"expected {n} lower and upper bounds, got {len(bounds['lower'])}/{len(bounds['upper'])}"
         )
-    # InfeasibleConstraints propagates unwrapped: the CLI maps it to its own exit code.
-    return BoxConstraints(tuple(lower), tuple(upper))
-
-
-def _parse_anchor_pair(obj, path: str, default: AnchorPair) -> AnchorPair:
-    if obj is None:
-        return default
-    pair = _expect_object(obj, path)
-    _reject_unknown(pair, ("worst", "best"), path)
-    worst = _expect_number(pair.get("worst"), f"{path}.worst")
-    best = _expect_number(pair.get("best"), f"{path}.best")
-    if worst == best:
-        raise ValidationError(path, "worst and best anchors must differ")
-    return AnchorPair(worst, best)
-
-
-def _parse_anchors(doc: dict) -> ScoringAnchors:
-    if "anchors" not in doc:
-        return DEFAULT_ANCHORS
-    obj = _expect_object(doc["anchors"], "anchors")
-    _reject_unknown(obj, ("service", "capital", "cost", "epsilon"), "anchors")
-    epsilon = DEFAULT_ANCHORS.epsilon
-    if "epsilon" in obj:
-        epsilon = _expect_number(obj["epsilon"], "anchors.epsilon")
-        if not (0.0 < epsilon < 0.5):
-            raise ValidationError("anchors.epsilon", f"must be in (0, 0.5), got {epsilon!r}")
-    return ScoringAnchors(
-        service=_parse_anchor_pair(obj.get("service"), "anchors.service", DEFAULT_ANCHORS.service),
-        capital=_parse_anchor_pair(obj.get("capital"), "anchors.capital", DEFAULT_ANCHORS.capital),
-        cost=_parse_anchor_pair(obj.get("cost"), "anchors.cost", DEFAULT_ANCHORS.cost),
-        epsilon=epsilon,
-    )
+    return _build("constraints", BoxConstraints, **bounds)
 
 
 def _parse_fleets(doc: dict) -> tuple[FleetType, ...]:
-    entries = _expect_list(doc.get("fleets", []), "fleets")
-    fleets = []
-    names = set()
-    for i, entry in enumerate(entries):
-        path = f"fleets[{i}]"
-        obj = _expect_object(entry, path)
-        _reject_unknown(obj, ("name", "seats", "range_km", "utilization_block_hours_per_week"), path)
-        name = _expect_str(obj.get("name"), f"{path}.name")
-        if name in names:
-            raise ValidationError(f"{path}.name", f"duplicate fleet name {name!r}")
-        names.add(name)
-        try:
-            fleets.append(
-                FleetType(
-                    name=name,
-                    seats=_expect_int(obj.get("seats"), f"{path}.seats"),
-                    range_km=_expect_number(obj.get("range_km"), f"{path}.range_km"),
-                    utilization_block_hours_per_week=_expect_number(
-                        obj.get("utilization_block_hours_per_week"),
-                        f"{path}.utilization_block_hours_per_week",
-                    ),
-                )
-            )
-        except ValueError as exc:
-            raise ValidationError(path, str(exc)) from exc
-    return tuple(fleets)
+    records = _read_list(doc, "fleets", _FLEET)
+    _reject_duplicates(records, "name", "fleet name")
+    return tuple(_build(path, FleetType, **fields) for path, fields in records)
 
 
 def _parse_availability(doc: dict, fleets: tuple[FleetType, ...]) -> FleetAvailability:
-    declared = {f.name for f in fleets}
     counts = {f.name: 0 for f in fleets}
-    if "availability" in doc:
-        obj = _expect_object(doc["availability"], "availability")
-        for name, value in obj.items():
-            if name not in declared:
-                raise DanglingReference(f"availability.{name}", "unknown fleet")
-            count = _expect_int(value, f"availability.{name}")
-            if count < 0:
-                raise ValidationError(f"availability.{name}", "must be >= 0")
-            counts[name] = count
-    return FleetAvailability(counts)
+    for name, value in _expect_object(doc.get("availability", {}), "availability").items():
+        if name not in counts:
+            raise DanglingReference(f"availability.{name}", "unknown fleet")
+        counts[name] = _expect_int(value, f"availability.{name}")
+    return _build("availability", FleetAvailability, counts)
 
 
 def _parse_routes(doc: dict, fleets: tuple[FleetType, ...]):
-    entries = _expect_list(doc.get("routes", []), "routes")
+    records = _read_list(doc, "routes", _ROUTE)
+    _reject_duplicates(records, "id", "route id")
     routes = []
     pinned: dict[str, str] = {}
-    ids = set()
     by_name = {f.name: f for f in fleets}
-    for i, entry in enumerate(entries):
-        path = f"routes[{i}]"
-        obj = _expect_object(entry, path)
-        _reject_unknown(obj, _ROUTE_KEYS + ("fleet",), path)
-        rid = _expect_str(obj.get("id"), f"{path}.id")
-        if rid in ids:
-            raise ValidationError(f"{path}.id", f"duplicate route id {rid!r}")
-        ids.add(rid)
-        kwargs = {
-            "id": rid,
-            "origin": _expect_str(obj.get("origin"), f"{path}.origin"),
-            "destination": _expect_str(obj.get("destination"), f"{path}.destination"),
-        }
-        for key in _ROUTE_KEYS[3:]:
-            kwargs[key] = _expect_number(obj.get(key), f"{path}.{key}")
-        try:
-            route = Route(**kwargs)
-        except ValueError as exc:
-            raise ValidationError(path, str(exc)) from exc
-        if "fleet" in obj:
-            fleet_name = _expect_str(obj["fleet"], f"{path}.fleet")
-            if fleet_name not in by_name:
-                raise DanglingReference(f"{path}.fleet", f"unknown fleet {fleet_name!r}")
-            if not range_feasible(route, by_name[fleet_name]):
-                raise ValidationError(
-                    f"{path}.fleet",
-                    f"fleet {fleet_name!r} ranges {by_name[fleet_name].range_km!r} km, "
-                    f"route is {route.distance_km!r} km",
-                )
-            pinned[rid] = fleet_name
-        else:
+    for path, fields in records:
+        fleet_name = fields.pop("fleet", None)
+        route = _build(path, Route, **fields)
+        if fleet_name is None:
             if not any(range_feasible(route, f) for f in fleets):
                 raise ValidationError(path, "no fleet with sufficient range for this route")
+        elif fleet_name not in by_name:
+            raise DanglingReference(f"{path}.fleet", f"unknown fleet {fleet_name!r}")
+        elif not range_feasible(route, by_name[fleet_name]):
+            raise ValidationError(
+                f"{path}.fleet",
+                f"fleet {fleet_name!r} ranges {by_name[fleet_name].range_km!r} km, "
+                f"route is {route.distance_km!r} km",
+            )
+        else:
+            pinned[route.id] = fleet_name
         routes.append(route)
     return tuple(routes), pinned
 
 
-def _parse_demand(obj, path: str) -> DemandModel:
-    model = _expect_object(obj, path)
-    kind = _expect_str(model.get("kind"), f"{path}.kind")
-    if kind == "poisson":
-        _reject_unknown(model, ("kind", "mean"), path)
-        mean = _expect_number(model.get("mean"), f"{path}.mean")
-        try:
-            return DemandModel.poisson(mean)
-        except ValueError as exc:
-            raise ValidationError(path, str(exc)) from exc
-    if kind == "discrete":
-        _reject_unknown(model, ("kind", "pmf"), path)
-        pmf = [_expect_number(v, f"{path}.pmf[{i}]")
-               for i, v in enumerate(_expect_list(model.get("pmf"), f"{path}.pmf"))]
-        try:
-            return DemandModel.discrete(pmf)
-        except ValueError as exc:
-            raise ValidationError(f"{path}.pmf", str(exc)) from exc
-    raise ValidationError(f"{path}.kind", f"must be 'poisson' or 'discrete', got {kind!r}")
-
-
 def _parse_rm_legs(doc: dict) -> tuple[RMLeg, ...]:
-    entries = _expect_list(doc.get("rm_legs", []), "rm_legs")
+    records = _read_list(doc, "rm_legs", _LEG)
+    _reject_duplicates(records, "id", "leg id")
     legs = []
-    ids = set()
-    keys = ("id", "capacity", "fare_high", "fare_low", "demand_high", "demand_low",
-            "show_up_prob", "denied_cost")
-    for i, entry in enumerate(entries):
-        path = f"rm_legs[{i}]"
-        obj = _expect_object(entry, path)
-        _reject_unknown(obj, keys, path)
-        lid = _expect_str(obj.get("id"), f"{path}.id")
-        if lid in ids:
-            raise ValidationError(f"{path}.id", f"duplicate leg id {lid!r}")
-        ids.add(lid)
-        try:
-            problem = LegRMProblem(
-                capacity=_expect_int(obj.get("capacity"), f"{path}.capacity"),
-                fare_high=_expect_number(obj.get("fare_high"), f"{path}.fare_high"),
-                fare_low=_expect_number(obj.get("fare_low"), f"{path}.fare_low"),
-                demand_high=_parse_demand(obj.get("demand_high"), f"{path}.demand_high"),
-                demand_low=_parse_demand(obj.get("demand_low"), f"{path}.demand_low"),
-                show_up_prob=_expect_number(obj.get("show_up_prob", 1.0), f"{path}.show_up_prob"),
-                denied_cost=_expect_number(obj.get("denied_cost", 0.0), f"{path}.denied_cost"),
-            )
-        except ValueError as exc:
-            raise ValidationError(path, str(exc)) from exc
-        legs.append(RMLeg(lid, problem))
+    for path, fields in records:
+        leg_id = fields.pop("id")
+        legs.append(RMLeg(leg_id, _build(path, LegRMProblem, **fields)))
     return tuple(legs)
 
 
@@ -387,7 +322,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     hypotheses = _parse_hypotheses(doc)
     weights = _parse_weights(doc, len(hypotheses))
     constraints = _parse_constraints(doc, len(hypotheses))
-    anchors = _parse_anchors(doc)
+    anchors = _build("anchors", ScoringAnchors, **_read(doc.get("anchors", {}), "anchors", _ANCHORS))
     target_lf = DEFAULT_TARGET_LOAD_FACTOR
     if "target_load_factor" in doc:
         target_lf = _expect_number(doc["target_load_factor"], "target_load_factor")
@@ -403,9 +338,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
             f"got {len(hypotheses)}",
         )
     rm_legs = _parse_rm_legs(doc)
-    seed = 0
-    if "seed" in doc:
-        seed = _expect_int(doc["seed"], "seed")
+    seed = _expect_int(doc.get("seed", 0), "seed")
+    if seed < 0:
+        raise ValidationError("seed", f"must be >= 0, got {seed!r}")
     return Scenario(
         schema_version=version,
         hypotheses=hypotheses,
@@ -435,7 +370,9 @@ def load_scenario(path) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
-    except (ValueError, RecursionError) as exc:  # an over-long integer, or nesting too deep
+    except ValueError as exc:  # json.loads refuses integer literals past Python's digit limit
+        raise ParseError(f"number literal longer than {sys.get_int_max_str_digits()} digits") from exc
+    except RecursionError as exc:
         raise ParseError(str(exc)) from exc
     return scenario_from_dict(doc)
 

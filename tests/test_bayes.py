@@ -10,7 +10,6 @@ from routebayes.bayes import (
     HypothesisSet,
     LikelihoodVector,
     WeightVector,
-    evaluate,
     posterior,
     total_probability,
     uniform_weights,
@@ -117,28 +116,17 @@ class TestPosterior:
 
 
 class TestEvaluate:
-    def test_default_set_labels(self):
-        w = validate_simplex([0.5, 0.3, 0.2])
-        ev = evaluate(DEFAULT_DRIVERS, w, LikelihoodVector((0.8, 0.4, 0.1)))
-        assert ev.total_probability == pytest.approx(0.54, abs=1e-12)
-        assert ev.top_contributor() == "customer_service"
-        by_id = ev.posterior_by_id()
-        assert by_id["customer_service"] == pytest.approx(20 / 27, abs=1e-12)
+    """Partitions other than the default three drivers."""
 
     def test_five_hypothesis_uniform(self):
-        hs = HypothesisSet(tuple(Hypothesis(f"h{i}") for i in range(5)))
-        ev = evaluate(hs, uniform_weights(5), LikelihoodVector((0.1, 0.2, 0.3, 0.4, 0.5)))
+        ev = posterior(uniform_weights(5), LikelihoodVector((0.1, 0.2, 0.3, 0.4, 0.5)))
         assert ev.total_probability == pytest.approx(0.3, abs=1e-12)
+        assert ev.posterior[4] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_singleton_partition(self):
-        hs = HypothesisSet((Hypothesis("only"),))
-        ev = evaluate(hs, WeightVector((1.0,)), LikelihoodVector((0.7,)))
+        ev = posterior(WeightVector((1.0,)), LikelihoodVector((0.7,)))
         assert ev.total_probability == 0.7
         assert ev.posterior.values == (1.0,)
-
-    def test_set_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            evaluate(DEFAULT_DRIVERS, WeightVector((1.0,)), LikelihoodVector((0.7,)))
 
 
 class TestHypothesisSet:

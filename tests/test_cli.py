@@ -6,7 +6,8 @@ import pytest
 from routebayes.cli import main
 
 DEMO = str(Path(__file__).parents[1] / "scenarios" / "demo.json")
-OVER_PROTECTED = str(Path(__file__).parent / "data" / "regress" / "over_protected_leg.json")
+REGRESS = Path(__file__).parent / "data" / "regress"
+OVER_PROTECTED = str(REGRESS / "over_protected_leg.json")
 
 
 def write(tmp_path, doc, name="scenario.json"):
@@ -66,7 +67,7 @@ class TestExitCodes:
         path.write_text(Path(DEMO).read_text().replace("{", "{" + seed, 1))
         assert main(["validate", "--scenario", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: Exceeds the limit (4300 digits)")
+        assert err.startswith("error: number literal longer than 4300 digits")
         assert "Traceback" not in err
 
     def test_invalid_utf8_is_one(self, tmp_path, capsys):
@@ -96,6 +97,49 @@ class TestExitCodes:
         assert main(["plan", "--scenario", path, "--format", "json"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: stage plan: fleet 'a320'")
+        assert "Traceback" not in err
+
+    def test_negative_scenario_seed_is_one(self, tmp_path, capsys):
+        doc = json.loads(Path(DEMO).read_text())
+        doc["seed"] = -1
+        assert main(["validate", "--scenario", write(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed: must be >= 0")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("option,value,field", [("--seed", "-5", "seed"), ("--trials", "0", "trials")])
+    def test_bad_rm_option_is_one(self, capsys, option, value, field):
+        assert main(["rm", "--scenario", DEMO, option, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: must be >= ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name,reason", [
+        ("overflow_frequency.json", "cannot convert float infinity to integer"),
+        ("overflow_profit.json", "not finite: nan"),
+    ])
+    def test_overflowing_route_is_one(self, capsys, name, reason):
+        path = str(REGRESS / name)
+        assert main(["validate", "--scenario", path]) == 0
+        assert main(["plan", "--scenario", path, "--format", "json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage evaluate: routes[hub_coastal]: ")
+        assert reason in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("changes,path", [
+        ({"capacity": 10**9}, "rm_legs[0]"),
+        ({"capacity": 1000, "demand_high": {"kind": "poisson", "mean": 2e5},
+          "demand_low": {"kind": "poisson", "mean": 2e5}}, "rm_legs[0]"),
+        ({"demand_high": {"kind": "poisson", "mean": 1e8}}, "rm_legs[0].demand_high"),
+    ])
+    def test_oversized_leg_is_one(self, tmp_path, capsys, changes, path):
+        doc = json.loads(Path(DEMO).read_text())
+        doc["rm_legs"][0].update(changes)
+        assert main(["rm", "--scenario", write(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert "over the limit" in err
         assert "Traceback" not in err
 
 

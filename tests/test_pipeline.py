@@ -1,11 +1,15 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from routebayes.pipeline import run_pipeline
+from routebayes.errors import RouteBayesError
+from routebayes.pipeline import STAGES, evaluate_routes, mean_likelihoods, run_pipeline
 from routebayes.report import Report
-from routebayes.scenario import load_scenario, scenario_from_dict
+from routebayes.scenario import load_scenario, round12, scenario_from_dict
 
 DEMO = Path(__file__).parents[1] / "scenarios" / "demo.json"
 
@@ -95,6 +99,29 @@ class TestStages:
         a["meta"]["stages"] = b["meta"]["stages"]
         assert a == b
 
+    def test_sensitivity_and_top_driver_on_a_tie(self):
+        # capital scores (1e6 - 5e5) / 1e6 and cost (0 + 1e5) / 2e5: both exactly 0.5 under
+        # uniform weights, so the posterior ties between the second and third drivers
+        scenario = scenario_from_dict({
+            "schema_version": "1",
+            "fleets": [{"name": "jet", "seats": 100, "range_km": 5000,
+                        "utilization_block_hours_per_week": 60}],
+            "anchors": {"capital": {"worst": 1e6, "best": 0}},
+            "routes": [{
+                "id": "tie", "origin": "A", "destination": "B", "distance_km": 800,
+                "demand_pax_per_week": 0, "average_fare": 100, "block_hours_per_flight": 2,
+                "cost_per_block_hour": 1000, "fixed_cost_per_flight": 0,
+                "service_score": 0.2, "tied_capital": 5e5,
+            }],
+        })
+        report = run_pipeline(scenario, ["evaluate", "optimize"])
+        (row,) = report.evaluation["routes"]
+        assert row["posterior"][1] == row["posterior"][2] > row["posterior"][0]
+        assert row["top_driver"] == "unavailable_capital"
+        means = mean_likelihoods(evaluate_routes(scenario))
+        assert report.optimization["sensitivity"] == [round12(v) for v in means.values]
+        assert report.optimization["sensitivity"] == [0.2, 0.5, 0.5]
+
 
 class TestDeterminism:
     def test_repeat_runs_identical_modulo_timestamp(self, demo):
@@ -113,3 +140,62 @@ class TestDeterminism:
         text = json.dumps(report.to_dict())
         again = Report.from_dict(json.loads(text))
         assert stripped(again) == stripped(report)
+
+
+# A modest number, or any nonnegative finite one, so that overflow is reachable.
+AMOUNT = st.one_of(st.floats(0, 1e4), st.floats(0, sys.float_info.max))
+POSITIVE = st.one_of(st.floats(0.1, 10), st.floats(0, sys.float_info.max, exclude_min=True))
+FLEETS = ("jet", "prop")
+
+
+def _route(i):
+    return st.fixed_dictionaries(
+        {"id": st.just(f"r{i}"), "origin": st.just("A"), "destination": st.just("B"),
+         "distance_km": st.floats(1, 6000), "demand_pax_per_week": AMOUNT, "average_fare": AMOUNT,
+         "block_hours_per_flight": POSITIVE, "cost_per_block_hour": AMOUNT,
+         "fixed_cost_per_flight": AMOUNT, "service_score": st.floats(0, 1), "tied_capital": AMOUNT},
+        optional={"fleet": st.sampled_from(FLEETS)},
+    )
+
+
+# RM sizes stay small only to keep the test quick; the size limit has its own tests.
+DEMAND = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("poisson"), "mean": st.floats(0, 300)}),
+    st.fixed_dictionaries({"kind": st.just("discrete"), "pmf": st.sampled_from([[1.0], [0.25, 0.75], [0.0, 0.5, 0.5]])}),
+)
+LEG = st.tuples(POSITIVE, POSITIVE).map(sorted).flatmap(lambda fares: st.fixed_dictionaries(
+    {"id": st.just("leg"), "capacity": st.integers(1, 300), "fare_high": st.just(fares[1]),
+     "fare_low": st.just(fares[0]), "demand_high": DEMAND, "demand_low": DEMAND},
+    optional={"show_up_prob": st.floats(0, 1, exclude_min=True), "denied_cost": AMOUNT},
+))
+DOCUMENT = st.fixed_dictionaries(
+    {"schema_version": st.just("1"),
+     "fleets": st.just([{"name": name, "seats": 150, "range_km": 5000,
+                         "utilization_block_hours_per_week": 60} for name in FLEETS]),
+     "routes": st.integers(0, 3).flatmap(lambda n: st.tuples(*(_route(i) for i in range(n))).map(list))},
+    optional={
+        "target_load_factor": st.floats(0, 1, exclude_min=True),
+        "availability": st.fixed_dictionaries({name: st.integers(0, 10**12) for name in FLEETS}),
+        "anchors": st.fixed_dictionaries({}, optional={
+            "cost": st.fixed_dictionaries({"worst": st.floats(-1e6, 0), "best": AMOUNT}),
+            "epsilon": st.floats(0, 0.5, exclude_min=True, exclude_max=True)}),
+        "rm_legs": st.lists(LEG, max_size=1),
+        "seed": st.one_of(st.integers(-3, 3), st.integers(0, 2**64)),
+    },
+)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@settings(max_examples=300, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(DOCUMENT)
+def test_every_loaded_scenario_runs(doc):
+    """A document either fails to load with a typed error or runs every stage to a typed end."""
+    try:
+        scenario = scenario_from_dict(doc)
+    except RouteBayesError:
+        return
+    for stages in (STAGES[:3], STAGES[3:]):  # optimize fails on a scenario without routes
+        try:
+            json.dumps(run_pipeline(scenario, stages, trials=20).to_dict())
+        except RouteBayesError:
+            pass

@@ -10,6 +10,7 @@ import pytest
 from _oracles import binom_pmf, binom_tail_log, leg_revenue_bruteforce, poisson_tail
 from routebayes.errors import InvalidPolicy
 from routebayes.rm import (
+    MAX_RM_CELLS,
     DemandModel,
     LegRMProblem,
     RMPolicy,
@@ -70,6 +71,28 @@ class TestDemandModel:
         model = DemandModel.discrete([0.1] * 10)
         assert model.survival(4) == pytest.approx(0.5)
         assert model.survival(9) == 0.0
+
+
+class TestSizeLimit:
+    """A leg's RM work is bounded by MAX_RM_CELLS before anything is allocated."""
+
+    def test_sweep_at_the_limit(self):
+        assert leg(capacity=MAX_RM_CELLS // 3).capacity == MAX_RM_CELLS // 3
+        with pytest.raises(ValueError, match="overbooking sweep"):
+            leg(capacity=MAX_RM_CELLS // 3 + 1)
+
+    def test_revenue_grid_at_the_limit(self):
+        side = math.isqrt(MAX_RM_CELLS)
+        assert side * side == MAX_RM_CELLS
+        low = DemandModel.deterministic(side - 1)
+        leg(demand_high=DemandModel.deterministic(side - 1), demand_low=low)
+        with pytest.raises(ValueError, match="revenue cells"):
+            leg(demand_high=DemandModel.deterministic(side), demand_low=low)
+
+    def test_poisson_support_bound(self):
+        DemandModel.poisson(MAX_RM_CELLS * 0.9)
+        with pytest.raises(ValueError, match="support points"):
+            DemandModel.poisson(float(MAX_RM_CELLS))
 
 
 class TestLittlewood:

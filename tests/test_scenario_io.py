@@ -1,3 +1,4 @@
+import copy
 import json
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from routebayes.errors import (
     InfeasibleConstraints,
     IoError,
     ParseError,
+    RouteBayesError,
     SchemaVersionUnsupported,
     ValidationError,
 )
@@ -163,6 +165,116 @@ class TestValidation:
         with pytest.raises(ValidationError) as info:
             scenario_from_dict(doc)
         assert info.value.path == "rm_legs[0].demand_high.kind"
+
+
+LEG = {
+    "id": "leg", "capacity": 100, "fare_high": 300, "fare_low": 100,
+    "demand_high": {"kind": "poisson", "mean": 30},
+    "demand_low": {"kind": "discrete", "pmf": [0.25, 0.25, 0.5]},
+}
+
+
+def _set(path, value):
+    """A mutation that sets ``value`` at ``path`` (keys and list indexes) of the document."""
+    def mutate(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return mutate
+
+
+def _leg(**changes):
+    return _set(("rm_legs",), [dict(LEG, **changes)])
+
+
+def _route(**changes):
+    def mutate(doc):
+        doc["routes"][0].update(changes)
+    return mutate
+
+
+def _twice(section):
+    def mutate(doc):
+        doc[section].append(dict(doc[section][0]))
+    return mutate
+
+
+# One case per rejection rule: (case id, mutation of minimal_doc(), error type, error path).
+REJECTIONS = [
+    ("record-type", _set(("routes", 0), 5), ValidationError, "routes[0]"),
+    ("unknown-top-key", _set(("surprise",), 1), ValidationError, "surprise"),
+    ("weights-sum", _set(("weights",), [0.5, 0.5, 0.1]), ValidationError, "weights"),
+    ("weights-negative", _set(("weights",), [0.6, -0.1, 0.5]), ValidationError, "weights"),
+    ("weights-length", _set(("weights",), [0.5, 0.5]), ValidationError, "weights"),
+    ("weights-type", _set(("weights",), ["a", 0.5, 0.5]), ValidationError, "weights[0]"),
+    ("hypotheses-empty", _set(("hypotheses",), []), ValidationError, "hypotheses"),
+    ("hypotheses-duplicate", _set(("hypotheses",), [{"id": "a"}, {"id": "a"}, {"id": "b"}]),
+     ValidationError, "hypotheses"),
+    ("hypothesis-id", _set(("hypotheses",), [{"label": "a"}]), ValidationError, "hypotheses[0].id"),
+    ("hypothesis-key", _set(("hypotheses",), [{"id": "a", "color": "red"}]),
+     ValidationError, "hypotheses[0].color"),
+    ("three-drivers", _set(("hypotheses",), [{"id": "a"}, {"id": "b"}]), ValidationError, "hypotheses"),
+    ("anchors-degenerate", _set(("anchors",), {"service": {"worst": 1, "best": 1}}),
+     ValidationError, "anchors.service"),
+    ("anchors-epsilon", _set(("anchors",), {"epsilon": 0.5}), ValidationError, "anchors"),
+    ("anchors-key", _set(("anchors",), {"scale": 1}), ValidationError, "anchors.scale"),
+    ("anchor-missing", _set(("anchors",), {"cost": {"worst": 1}}), ValidationError, "anchors.cost.best"),
+    ("availability-negative", _set(("availability",), {"jet": -1}), ValidationError, "availability"),
+    ("availability-type", _set(("availability",), {"jet": 1.5}), ValidationError, "availability.jet"),
+    ("availability-dangling", _set(("availability",), {"ghost": 1}), DanglingReference, "availability.ghost"),
+    ("fleet-seats", _set(("fleets", 0, "seats"), 0), ValidationError, "fleets[0]"),
+    ("fleet-seats-type", _set(("fleets", 0, "seats"), 150.5), ValidationError, "fleets[0].seats"),
+    ("fleet-range", _set(("fleets", 0, "range_km"), -1), ValidationError, "fleets[0]"),
+    ("fleet-duplicate", _twice("fleets"), ValidationError, "fleets[1].name"),
+    ("route-distance", _route(distance_km=-5), ValidationError, "routes[0]"),
+    ("route-service", _route(service_score=1.5), ValidationError, "routes[0]"),
+    ("route-missing", lambda doc: doc["routes"][0].pop("average_fare"), ValidationError,
+     "routes[0].average_fare"),
+    ("route-origin", _route(origin=""), ValidationError, "routes[0].origin"),
+    ("route-nan", _route(demand_pax_per_week=float("nan")), ValidationError,
+     "routes[0].demand_pax_per_week"),
+    ("route-duplicate", _twice("routes"), ValidationError, "routes[1].id"),
+    ("route-out-of-range", _route(distance_km=4500), ValidationError, "routes[0]"),
+    ("route-pinned-range", _route(distance_km=4500, fleet="jet"), ValidationError, "routes[0].fleet"),
+    ("route-pinned-dangling", _route(fleet="ghost"), DanglingReference, "routes[0].fleet"),
+    ("leg-capacity", _leg(capacity=0), ValidationError, "rm_legs[0]"),
+    ("leg-capacity-type", _leg(capacity=10.5), ValidationError, "rm_legs[0].capacity"),
+    ("leg-fares", _leg(fare_low=400), ValidationError, "rm_legs[0]"),
+    ("leg-show-up", _leg(show_up_prob=0), ValidationError, "rm_legs[0]"),
+    ("leg-denied-cost", _leg(denied_cost=-1), ValidationError, "rm_legs[0]"),
+    ("leg-key", _leg(cabin="y"), ValidationError, "rm_legs[0].cabin"),
+    ("leg-duplicate", _set(("rm_legs",), [LEG, LEG]), ValidationError, "rm_legs[1].id"),
+    ("demand-mean", _leg(demand_high={"kind": "poisson", "mean": -1}), ValidationError,
+     "rm_legs[0].demand_high"),
+    ("demand-pmf", _leg(demand_low={"kind": "discrete", "pmf": [0.5, 0.6]}), ValidationError,
+     "rm_legs[0].demand_low.pmf"),
+    ("demand-kind", _leg(demand_high={"kind": "weibull", "mean": 2}), ValidationError,
+     "rm_legs[0].demand_high.kind"),
+    ("demand-key", _leg(demand_high={"kind": "poisson", "pmf": [1.0]}), ValidationError,
+     "rm_legs[0].demand_high.pmf"),
+    ("constraints-length", _set(("constraints",), {"lower": [0, 0], "upper": [1, 1]}),
+     ValidationError, "constraints"),
+    ("constraints-type", _set(("constraints",), {"lower": [0, 0, None], "upper": [1, 1, 1]}),
+     ValidationError, "constraints.lower[2]"),
+    ("constraints-infeasible", _set(("constraints",), {"lower": [0.5, 0.5, 0.5], "upper": [1, 1, 1]}),
+     InfeasibleConstraints, None),
+    ("seed-type", _set(("seed",), True), ValidationError, "seed"),
+    ("seed-negative", _set(("seed",), -1), ValidationError, "seed"),
+    ("load-factor-zero", _set(("target_load_factor",), 0), ValidationError, "target_load_factor"),
+    ("load-factor-high", _set(("target_load_factor",), 1.5), ValidationError, "target_load_factor"),
+]
+
+
+@pytest.mark.parametrize("mutate,error,path", [case[1:] for case in REJECTIONS],
+                         ids=[case[0] for case in REJECTIONS])
+def test_rejection_table(mutate, error, path):
+    doc = copy.deepcopy(minimal_doc())
+    mutate(doc)
+    with pytest.raises(RouteBayesError) as info:
+        scenario_from_dict(doc)
+    assert type(info.value) is error
+    assert getattr(info.value, "path", None) == path
 
 
 class TestFileHandling:
