@@ -39,7 +39,6 @@ from .planner import (
     FleetAvailability,
     NetworkPlan,
     RouteCandidate,
-    rank_routes,
     score_candidate,
     select_routes,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "FleetAvailability",
     "NetworkPlan",
     "RouteCandidate",
-    "rank_routes",
     "score_candidate",
     "select_routes",
     "run_pipeline",

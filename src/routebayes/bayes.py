@@ -63,10 +63,6 @@ class HypothesisSet:
     def ids(self) -> tuple[str, ...]:
         return tuple(h.id for h in self.hypotheses)
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(h.label or h.id for h in self.hypotheses)
-
     def __len__(self) -> int:
         return len(self.hypotheses)
 

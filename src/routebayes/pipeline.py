@@ -23,9 +23,9 @@ from .bayes import Evaluation, LikelihoodVector, WeightVector, posterior, total_
 from .economics import FleetRequirement, FleetType, Route, component_likelihoods, fleet_requirement, range_feasible, route_profit
 from .errors import RouteBayesError, ValidationError
 from .optimizer import BoxConstraints, OptimizationResult, optimize_weights
-from .planner import NetworkPlan, RouteCandidate, select_routes
+from .planner import NetworkPlan, RouteCandidate, score_candidate, select_routes
 from .report import Report
-from .rm import RMPolicy, expected_revenue, fcfs_baseline, littlewood_protection, overbooking_limit, simulate_leg
+from .rm import MAX_TRIALS, RMPolicy, expected_revenue, fcfs_baseline, littlewood_protection, overbooking_limit, simulate_leg
 from .scenario import Scenario, round_tree
 
 STAGES = ("evaluate", "optimize", "plan", "rm")
@@ -63,14 +63,19 @@ def _stage_context(name: str):
         raise
 
 
-def _each(section: str, records, work) -> list:
-    """``work(index, record)`` per record; a ValueError or ArithmeticError names the record's id."""
+def _each(section: str, records, work, figures) -> list:
+    """``work(index, record)`` per record; errors, numpy overflow and non-finite ``figures(result)`` name the record."""
     results = []
     for index, record in enumerate(records):
         try:
-            results.append(work(index, record))
+            with np.errstate(over="raise", invalid="raise"):
+                result = work(index, record)
+            for name, value in figures(result).items():
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValueError(f"{name} is not finite: {value!r}")
         except (ValueError, ArithmeticError) as exc:
             raise ValidationError(f"{section}[{record.id}]", str(exc)) from exc
+        results.append(result)
     return results
 
 
@@ -105,7 +110,7 @@ def _evaluate_route(scenario: Scenario, route: Route) -> RouteEvaluation:
 
 def evaluate_routes(scenario: Scenario) -> list[RouteEvaluation]:
     """Assign fleets, size the operation, and score every route in order."""
-    return _each("routes", scenario.routes, lambda _, route: _evaluate_route(scenario, route))
+    return _each("routes", scenario.routes, lambda _, route: _evaluate_route(scenario, route), vars)
 
 
 def mean_likelihoods(rows: list[RouteEvaluation]) -> LikelihoodVector:
@@ -236,7 +241,8 @@ def _rm_leg(leg, trials: int, seed: int) -> dict:
 
 
 def _rm_section(scenario: Scenario, trials: int, seed: int) -> dict:
-    legs = _each("rm_legs", scenario.rm_legs, lambda index, leg: _rm_leg(leg, trials, _leg_seed(seed, index)))
+    legs = _each("rm_legs", scenario.rm_legs, lambda index, leg: _rm_leg(leg, trials, _leg_seed(seed, index)),
+                 lambda leg: leg | leg["simulation"])
     return round_tree({"trials": trials, "seed": seed, "legs": legs})
 
 
@@ -251,8 +257,8 @@ def run_pipeline(
     rm_seed = scenario.seed if seed is None else seed
     if rm_seed < 0:
         raise ValidationError("seed", f"must be >= 0, got {rm_seed!r}")
-    if trials < 1:
-        raise ValidationError("trials", f"must be >= 1, got {trials!r}")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValidationError("trials", f"must be >= 1 and <= {MAX_TRIALS}, got {trials!r}")
     meta = {
         "schema_version": scenario.schema_version,
         "seed": scenario.seed,
@@ -279,6 +285,9 @@ def run_pipeline(
     if "plan" in requested:
         with _stage_context("plan"):
             candidates = build_candidates(rows, plan_weights)
+            # every subset sum, the planner's table included, stays within the positive total
+            if not math.isfinite(positive := sum(max(score_candidate(c), 0.0) for c in candidates)):
+                raise ValidationError("routes", f"the positive scores sum to {positive!r}, past the float range")
             network = select_routes(candidates, scenario.availability)
         plan = _plan_section(scenario, network, weights_label)
     rm = None

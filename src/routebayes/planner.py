@@ -82,11 +82,6 @@ def score_candidate(candidate: RouteCandidate) -> float:
     return candidate.total_probability * candidate.profit_per_week
 
 
-def rank_routes(candidates: list[RouteCandidate]) -> list[RouteCandidate]:
-    """Candidates ordered by score descending, ties by route_id ascending."""
-    return sorted(candidates, key=lambda c: (-score_candidate(c), c.route_id))
-
-
 def _check_candidates(candidates: list[RouteCandidate], availability: FleetAvailability) -> None:
     seen = set()
     for c in candidates:

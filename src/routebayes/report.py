@@ -56,7 +56,7 @@ class Report:
 
 
 def report_to_json(report: Report) -> str:
-    return json.dumps(report.to_dict(), indent=2) + "\n"
+    return json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n"
 
 
 def _posterior_columns(hypothesis_ids) -> list[str]:

@@ -11,7 +11,9 @@ Poisson pmf is built from ``exp(k log(mean) - mean - lgamma(k + 1))`` and cut
 at the smallest support whose tail mass is below 1e-9. The binomial show-up
 tails for the overbooking limit and the expected denied boardings come from
 one forward sweep over the number of bookings, with the point mass kept as
-mantissa and binary exponent so it cannot underflow. The Monte Carlo path
+mantissa and binary exponent so it cannot underflow. Expected revenue is one
+``fsum`` over a = min(D_low, B - P), the accepted low fares under booking
+limit B and protection P, not over the whole demand grid. The Monte Carlo path
 uses numpy's PCG64 generator seeded explicitly; draw order per trial is low
 demand, high demand, low show-ups, high show-ups, so identical inputs and
 seed reproduce summaries bit for bit.
@@ -19,7 +21,6 @@ seed reproduce summaries bit for bit.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -27,14 +28,16 @@ import numpy as np
 
 from .errors import InvalidPolicy
 
-logger = logging.getLogger(__name__)
-
 TAIL_MASS = 1e-9
 OVERBOOKING_SEARCH_FACTOR = 3
 #: Largest work a leg may ask for: the Poisson support built before truncation,
-#: the overbooking sweep over 3 x capacity bookings, and the |D_low| x |D_high|
-#: expected-revenue grid each stay within this many cells.
+#: the overbooking sweep over 3 x capacity bookings, and |D_low| x |D_high|,
+#: which bounds the multiply-adds of expected_revenue's denied-boarding
+#: correlation, each stay within this many cells.
 MAX_RM_CELLS = 10**6
+#: Most Monte Carlo trials per leg: simulate_leg holds about 13 arrays of 8
+#: bytes per trial at once, about 105 MB at this bound.
+MAX_TRIALS = 10**6
 
 
 def _tails(pmf) -> np.ndarray:
@@ -48,7 +51,6 @@ class DemandModel:
 
     kind: str
     pmf: tuple[float, ...]
-    mean_param: float | None = None
 
     @classmethod
     def poisson(cls, mean: float) -> "DemandModel":
@@ -56,7 +58,7 @@ class DemandModel:
         if mean < 0:
             raise ValueError(f"poisson mean must be >= 0, got {mean!r}")
         if mean == 0:
-            return cls("poisson", (1.0,), 0.0)
+            return cls("poisson", (1.0,))
         # the mass beyond 40 standard deviations is far below double precision
         size = int(mean + 40 * math.sqrt(mean)) + 61
         if size > MAX_RM_CELLS:
@@ -64,7 +66,7 @@ class DemandModel:
         k = np.arange(size)
         pmf = np.exp(k * math.log(mean) - np.fromiter(map(math.lgamma, k + 1.0), float) - mean)
         t = int(np.argmax(_tails(pmf) < TAIL_MASS))
-        return cls("poisson", tuple(pmf[: t + 1].tolist()), float(mean))
+        return cls("poisson", tuple(pmf[: t + 1].tolist()))
 
     @classmethod
     def discrete(cls, pmf: list[float]) -> "DemandModel":
@@ -90,15 +92,6 @@ class DemandModel:
     @property
     def truncation(self) -> int:
         return len(self.pmf) - 1
-
-    def survival(self, y: int) -> float:
-        """P(D > y) on the truncated support."""
-        if y >= self.truncation:
-            return 0.0
-        return math.fsum(self.pmf[max(y, -1) + 1 :])
-
-    def mean(self) -> float:
-        return math.fsum(k * p for k, p in enumerate(self.pmf))
 
 
 @dataclass(frozen=True)
@@ -132,7 +125,7 @@ class LegRMProblem:
             )
         cells = len(self.demand_low.pmf) * len(self.demand_high.pmf)
         if cells > MAX_RM_CELLS:
-            raise ValueError(f"the demand supports span {cells} revenue cells, over the limit of {MAX_RM_CELLS}")
+            raise ValueError(f"the denied-boarding sum takes {cells} products, over the limit of {MAX_RM_CELLS}")
 
 
 @dataclass(frozen=True)
@@ -189,16 +182,29 @@ def _show_up_sweep(capacity: int, p: float, max_booked: int) -> tuple[np.ndarray
 
 
 def expected_revenue(problem: LegRMProblem, policy: RMPolicy) -> float:
-    """Exact expected revenue of the policy under the booking protocol."""
+    """Exact expected revenue of the policy, one term per accepted low-fare count a.
+
+    With r = B - a seats left, the high fare books E[min(D_high, r)], a prefix
+    sum of its tails; denied boardings are sum_k p_high(k) over[a + min(k, r)],
+    a correlation over a + k < B plus over[B] P(D_high >= r). Low fares weigh
+    on the truncated high-fare mass, as on the full demand grid.
+    """
     _check_policy(problem, policy)
-    _, over = _show_up_sweep(problem.capacity, problem.show_up_prob, policy.booking_limit)
-    w_low = np.asarray(problem.demand_low.pmf)[:, None]
-    w_high = np.asarray(problem.demand_high.pmf)[None, :]
-    acc_low = np.minimum(np.arange(w_low.size), policy.booking_limit - policy.protection_level)[:, None]
-    acc_high = np.minimum(np.arange(w_high.size)[None, :], policy.booking_limit - acc_low)
-    fares = problem.show_up_prob * (acc_low * problem.fare_low + acc_high * problem.fare_high)
-    penalty = problem.denied_cost * over[acc_low + acc_high]
-    return math.fsum((w_low * w_high * (fares - penalty)).ravel().tolist())
+    booking, low_cap = policy.booking_limit, policy.booking_limit - policy.protection_level
+    _, over = _show_up_sweep(problem.capacity, problem.show_up_prob, booking)
+    low, high = np.asarray(problem.demand_low.pmf), np.asarray(problem.demand_high.pmf)
+    # P(a): the pmf below B - P, and the whole low-fare tail at a = B - P
+    weight = np.append(low[:low_cap], math.fsum(low[low_cap:].tolist()))[: low.size]
+    accepted = np.arange(weight.size)
+    rest = np.minimum(booking - accepted, high.size)
+    tails = _tails(high)
+    at_least = np.append(tails[0] + high[0], tails)
+    band = np.zeros(weight.size + high.size - 1)
+    band[: min(booking, band.size)] = over[: min(booking, band.size)]
+    denied = np.correlate(band, high, "valid") + over[booking] * at_least[rest]
+    shows_high = np.append(0.0, np.cumsum(tails))[rest]
+    fares = problem.show_up_prob * (accepted * problem.fare_low * at_least[0] + shows_high * problem.fare_high)
+    return math.fsum((weight * (fares - problem.denied_cost * denied)).tolist())
 
 
 def overbooking_limit(problem: LegRMProblem) -> int:
@@ -206,16 +212,14 @@ def overbooking_limit(problem: LegRMProblem) -> int:
 
     The marginal condition is fare_low - denied_cost * P(survivors of the
     previous bookings >= capacity) > 0, with survivors binomial in the
-    show-up probability. The search stops at 3x capacity; hitting that cap is
-    logged since it means overbooking incentives never turned negative.
+    show-up probability. The search stops at 3x capacity, where the limit
+    means overbooking incentives never turned negative.
     """
     bound = OVERBOOKING_SEARCH_FACTOR * problem.capacity
     full, _ = _show_up_sweep(problem.capacity, problem.show_up_prob, bound - 1)
     limit = problem.capacity
     while limit < bound and problem.fare_low - problem.denied_cost * full[limit] > 0.0:
         limit += 1
-    if limit == bound:
-        logger.info("overbooking search hit the %dx capacity bound", OVERBOOKING_SEARCH_FACTOR)
     return limit
 
 
@@ -266,19 +270,12 @@ def simulate_leg(
     survivors = show_low + show_high
     boarded = np.minimum(survivors, problem.capacity)
     denied = survivors - boarded
-    revenue = (
-        problem.fare_low * show_low
-        + problem.fare_high * show_high
-        - problem.denied_cost * denied
-    )
+    revenue = problem.fare_low * show_low + problem.fare_high * show_high - problem.denied_cost * denied
     spill = (d_low - acc_low) + (d_high - acc_high)
     requests = d_low + d_high
     total_survivors = int(survivors.sum())
     total_requests = int(requests.sum())
-    if trials > 1:
-        se = float(revenue.std(ddof=1)) / math.sqrt(trials)
-    else:
-        se = 0.0
+    se = float(revenue.std(ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0
     return LegSimulationSummary(
         trials=trials,
         mean_revenue=float(revenue.mean()),

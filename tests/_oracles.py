@@ -9,6 +9,7 @@ import math
 from itertools import product
 
 import numpy as np
+from routebayes.rm import _check_policy, _show_up_sweep
 
 
 def simplex_vertices(lower, upper, tol=1e-12):
@@ -118,6 +119,20 @@ def enumerate_best_plan_per_fleet(ids, scores, fleet_names, needs, availability)
     return total, tuple(chosen)
 
 
+def rank_by_score(ids, scores):
+    """Ids by score descending, ties by id ascending."""
+    return [rid for _, rid in sorted(zip((-s for s in scores), ids))]
+
+
+def pmf_survival(pmf, y):
+    """P(D > y), summed upward over the pmf entries above y."""
+    return math.fsum(pmf[y + 1 :])
+
+
+def pmf_mean(pmf):
+    return math.fsum(k * p for k, p in enumerate(pmf))
+
+
 def binom_pmf(k, n, p):
     return math.comb(n, k) * (p**k) * ((1.0 - p) ** (n - k))
 
@@ -166,3 +181,16 @@ def binom_tail_log(n, p, c):
                  + k * log_p + (n - k) * log_q)
         for k in range(c, n + 1)
     )
+
+
+def grid_expected_revenue(problem, policy):
+    """Exact expected revenue summed over the whole |D_low| x |D_high| demand grid."""
+    _check_policy(problem, policy)
+    _, over = _show_up_sweep(problem.capacity, problem.show_up_prob, policy.booking_limit)
+    w_low = np.asarray(problem.demand_low.pmf)[:, None]
+    w_high = np.asarray(problem.demand_high.pmf)[None, :]
+    acc_low = np.minimum(np.arange(w_low.size), policy.booking_limit - policy.protection_level)[:, None]
+    acc_high = np.minimum(np.arange(w_high.size)[None, :], policy.booking_limit - acc_low)
+    fares = problem.show_up_prob * (acc_low * problem.fare_low + acc_high * problem.fare_high)
+    penalty = problem.denied_cost * over[acc_low + acc_high]
+    return math.fsum((w_low * w_high * (fares - penalty)).ravel().tolist())

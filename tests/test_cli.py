@@ -117,6 +117,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("name,reason", [
         ("overflow_frequency.json", "cannot convert float infinity to integer"),
         ("overflow_profit.json", "not finite: nan"),
+        ("overflow_route_revenue.json", "profit is not finite: inf"),
     ])
     def test_overflowing_route_is_one(self, capsys, name, reason):
         path = str(REGRESS / name)
@@ -125,6 +126,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: stage evaluate: routes[hub_coastal]: ")
         assert reason in err
+        assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_rm_leg_is_one(self, capsys):
+        path = str(REGRESS / "overflow_rm_fares.json")
+        assert main(["validate", "--scenario", path]) == 0
+        capsys.readouterr()
+        assert main(["rm", "--scenario", path, "--format", "json"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: stage rm: rm_legs[hub_capital_leg]: overflow encountered")
+        assert "Traceback" not in err
+
+    def test_plan_scores_past_the_float_range_is_one(self, tmp_path, capsys):
+        doc = json.loads(Path(DEMO).read_text())
+        for route in doc["routes"]:
+            route["average_fare"] = 1e305  # each profit is finite, their sum is not
+        assert main(["plan", "--scenario", write(tmp_path, doc), "--format", "json"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: stage plan: routes: the positive scores sum to inf")
+        assert "Traceback" not in err
+
+    def test_trials_over_the_bound_is_one(self, capsys):
+        assert main(["rm", "--scenario", DEMO, "--trials", "1000000000"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: trials: must be >= 1 and <= 1000000, got 1000000000")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("changes,path", [

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import enumerate_best_plan, enumerate_best_plan_per_fleet
+from _oracles import enumerate_best_plan, enumerate_best_plan_per_fleet, rank_by_score
 from routebayes.errors import PlanTooLarge, UnknownFleet
 from routebayes.planner import (
     FleetAvailability,
     RouteCandidate,
-    rank_routes,
     score_candidate,
     select_routes,
 )
@@ -235,17 +234,25 @@ class TestLargeInstances:
 
 
 class TestRankRoutes:
+    """With room for k one-aircraft routes, the plan takes the k best by score, ties by id."""
+
+    @staticmethod
+    def top_k_plans(candidates):
+        ranked = rank_by_score([c.route_id for c in candidates], [score_candidate(c) for c in candidates])
+        for k in range(1, len(candidates) + 1):
+            assert select_routes(candidates, {"f1": k}).selected == tuple(sorted(ranked[:k]))
+        return ranked
+
     def test_sorted_by_score(self):
         candidates = [cand("a", profit=5.0), cand("b", profit=9.0), cand("c", profit=1.0)]
-        assert [c.route_id for c in rank_routes(candidates)] == ["b", "a", "c"]
+        assert self.top_k_plans(candidates) == ["b", "a", "c"]
 
     def test_ties_by_id(self):
         candidates = [cand("b", profit=5.0), cand("a", profit=5.0)]
-        assert [c.route_id for c in rank_routes(candidates)] == ["a", "b"]
+        assert self.top_k_plans(candidates) == ["a", "b"]
 
     def test_single(self):
-        only = cand("solo")
-        assert rank_routes([only]) == [only]
+        assert self.top_k_plans([cand("solo")]) == ["solo"]
 
 
 class TestFleetAvailability:

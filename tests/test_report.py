@@ -32,6 +32,13 @@ class TestJson:
         out = capsys.readouterr().out
         assert json.loads(out)["meta"]["schema_version"] == "1"
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_number_is_never_written(self, full_report, value):
+        doc = full_report.to_dict()
+        doc["rm"] = dict(doc["rm"], legs=[dict(doc["rm"]["legs"][0], uplift_pct=value)])
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            report_to_json(Report.from_dict(doc))
+
 
 class TestRounding:
     def test_round12(self):

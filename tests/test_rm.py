@@ -6,11 +6,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from _oracles import binom_pmf, binom_tail_log, leg_revenue_bruteforce, poisson_tail
+from _oracles import (
+    binom_pmf,
+    binom_tail_log,
+    grid_expected_revenue,
+    leg_revenue_bruteforce,
+    pmf_mean,
+    pmf_survival,
+    poisson_tail,
+)
 from routebayes.errors import InvalidPolicy
 from routebayes.rm import (
     MAX_RM_CELLS,
+    MAX_TRIALS,
+    OVERBOOKING_SEARCH_FACTOR,
     DemandModel,
     LegRMProblem,
     RMPolicy,
@@ -18,9 +30,11 @@ from routebayes.rm import (
     fcfs_baseline,
     littlewood_protection,
     _show_up_sweep,
+    _tails,
     overbooking_limit,
     simulate_leg,
 )
+from routebayes.scenario import load_scenario
 
 ROOT = Path(__file__).parents[1]
 
@@ -42,16 +56,16 @@ class TestDemandModel:
     def test_poisson_tail_below_threshold(self):
         model = DemandModel.poisson(25.0)
         assert 1.0 - math.fsum(model.pmf) < 1e-9
-        assert model.survival(model.truncation) == 0.0
+        assert _tails(model.pmf)[model.truncation] == 0.0
 
     def test_poisson_zero_mean(self):
         model = DemandModel.poisson(0.0)
         assert model.pmf == (1.0,)
-        assert model.mean() == 0.0
+        assert pmf_mean(model.pmf) == 0.0
 
     def test_poisson_mean_close(self):
         model = DemandModel.poisson(12.0)
-        assert model.mean() == pytest.approx(12.0, abs=1e-6)
+        assert pmf_mean(model.pmf) == pytest.approx(12.0, abs=1e-6)
 
     @pytest.mark.parametrize("mean", [0.5, 1.0, 3.7, 12.0, 25.0, 80.0, 180.0, 640.0, 2000.0, 5000.0])
     def test_poisson_truncation_is_smallest_below_tail_mass(self, mean):
@@ -68,13 +82,17 @@ class TestDemandModel:
             DemandModel.discrete([])
 
     def test_discrete_survival(self):
-        model = DemandModel.discrete([0.1] * 10)
-        assert model.survival(4) == pytest.approx(0.5)
-        assert model.survival(9) == 0.0
+        tails = _tails(DemandModel.discrete([0.1] * 10).pmf)
+        assert tails[4] == pytest.approx(0.5)
+        assert tails[9] == 0.0
+        assert tails.tolist() == pytest.approx([pmf_survival([0.1] * 10, y) for y in range(10)], abs=1e-15)
 
 
 class TestSizeLimit:
     """A leg's RM work is bounded by MAX_RM_CELLS before anything is allocated."""
+
+    def test_trial_bound_covers_the_acceptance_suite(self):
+        assert MAX_TRIALS >= 50_000
 
     def test_sweep_at_the_limit(self):
         assert leg(capacity=MAX_RM_CELLS // 3).capacity == MAX_RM_CELLS // 3
@@ -85,8 +103,10 @@ class TestSizeLimit:
         side = math.isqrt(MAX_RM_CELLS)
         assert side * side == MAX_RM_CELLS
         low = DemandModel.deterministic(side - 1)
-        leg(demand_high=DemandModel.deterministic(side - 1), demand_low=low)
-        with pytest.raises(ValueError, match="revenue cells"):
+        problem = leg(capacity=side, demand_high=DemandModel.deterministic(side - 1), demand_low=low)
+        # all side - 1 low fares book, which leaves one seat for the high fare
+        assert expected_revenue(problem, RMPolicy(0, side)) == (side - 1) * 100.0 + 200.0
+        with pytest.raises(ValueError, match="denied-boarding sum takes"):
             leg(demand_high=DemandModel.deterministic(side), demand_low=low)
 
     def test_poisson_support_bound(self):
@@ -120,7 +140,7 @@ class TestLittlewood:
             for low in (20.0, 90.0, 170.0):
                 problem = leg(capacity=1000, fare_high=200.0, fare_low=low, demand_high=demand)
                 scan = next(y for y in range(demand.truncation + 1)
-                            if demand.survival(y) <= low / 200.0)
+                            if pmf_survival(demand.pmf, y) <= low / 200.0)
                 assert littlewood_protection(problem) == scan
 
     def test_monotone_in_fare_ratio(self):
@@ -183,6 +203,67 @@ class TestExpectedRevenue:
             best = expected_revenue(problem, RMPolicy(min(star, capacity), capacity))
             for y in range(capacity + 1):
                 assert best >= expected_revenue(problem, RMPolicy(y, capacity)) - 1e-9
+
+
+def _discrete(weights):
+    total = math.fsum(weights)
+    return DemandModel.discrete([w / total for w in weights])
+
+
+DEMAND = st.one_of(
+    st.floats(0, 60).map(DemandModel.poisson),
+    st.lists(st.floats(0, 1), min_size=1, max_size=40).filter(lambda w: sum(w) > 0.01).map(_discrete),
+    st.integers(0, 90).map(DemandModel.deterministic),
+)
+
+
+@st.composite
+def leg_and_policy(draw):
+    capacity = draw(st.integers(1, 30))
+    fare_high = draw(st.floats(1.0, 1000.0))
+    problem = leg(
+        capacity=capacity, fare_high=fare_high, fare_low=draw(st.floats(0.05, 1.0)) * fare_high,
+        demand_high=draw(DEMAND), demand_low=draw(DEMAND),
+        show_up_prob=draw(st.one_of(st.just(1.0), st.floats(0.05, 1.0))),
+        denied_cost=draw(st.one_of(st.just(0.0), st.floats(0.0, 3000.0))),
+    )
+    protection = draw(st.one_of(st.integers(0, capacity), st.just(capacity)))
+    bound = OVERBOOKING_SEARCH_FACTOR * capacity
+    return problem, RMPolicy(protection, draw(st.one_of(st.integers(capacity, bound), st.just(bound))))
+
+
+def _case(capacity, protection, booking, low, high, show_up_prob=1.0, denied_cost=0.0):
+    return leg(capacity=capacity, demand_low=low, demand_high=high, show_up_prob=show_up_prob,
+               denied_cost=denied_cost), RMPolicy(protection, booking)
+
+
+class TestExpectedRevenueMatchesGrid:
+    """The one-dimensional sum equals the |D_low| x |D_high| grid within 1e-12 relative."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(leg_and_policy())
+    # low-fare support shorter than B - P, Poisson on both sides, show-up 1, free denials
+    @example(_case(20, 4, 60, DemandModel.poisson(3.0), DemandModel.poisson(9.0)))
+    # low-fare support longer than B - P, overbooking at the 3x bound with no-shows
+    @example(_case(12, 5, 36, DemandModel.poisson(60.0), DemandModel.poisson(7.0), 0.8, 300.0))
+    # protection equal to capacity and to the booking limit: no low fare books
+    @example(_case(15, 15, 15, DemandModel.poisson(30.0), DemandModel.poisson(20.0), 0.9, 500.0))
+    # discrete legs with B - P inside and at the end of the low-fare support
+    @example(_case(6, 2, 8, DemandModel.discrete([0.1, 0.2, 0.3, 0.4]), DemandModel.discrete([0.5, 0.5]), 0.7, 90.0))
+    @example(_case(6, 0, 6, DemandModel.discrete([0.25] * 4), DemandModel.discrete([0.25] * 4), 0.7, 90.0))
+    def test_matches_grid(self, case):
+        problem, policy = case
+        grid = grid_expected_revenue(problem, policy)
+        assert abs(expected_revenue(problem, policy) - grid) <= 1e-12 * abs(grid)
+
+    @pytest.mark.parametrize("name", ["rm_c100", "rm_c300", "rm_c800"])
+    def test_golden_legs(self, name):
+        for rm_leg in load_scenario(ROOT / "tests" / "data" / "golden" / "inputs" / f"{name}.json").rm_legs:
+            problem = rm_leg.problem
+            for policy in (RMPolicy(littlewood_protection(problem), overbooking_limit(problem)),
+                           RMPolicy(0, problem.capacity)):
+                grid = grid_expected_revenue(problem, policy)
+                assert abs(expected_revenue(problem, policy) - grid) <= 1e-12 * abs(grid)
 
 
 class TestShowUpSweep:
