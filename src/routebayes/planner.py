@@ -4,9 +4,9 @@ Each candidate arrives with a pre-assigned fleet and an integer aircraft
 need, and scores add up, so the multi-fleet 0/1 knapsack splits into one
 knapsack per fleet. Each is solved exactly, at any size, by an
 O(candidates x aircraft) dynamic program (Martello & Toth 1990, ch. 2).
-Ties resolve to the lexicographically smallest id tuple. A fleet whose
-table would exceed MAX_PLAN_CELLS raises PlanTooLarge rather than exhaust
-memory. Selection is a pure function of its inputs.
+Of two tied plans, the one holding the smallest id where they differ wins.
+A fleet whose table would exceed MAX_PLAN_CELLS raises PlanTooLarge rather
+than exhaust memory. Selection is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def _fleet_select(items: list[tuple[RouteCandidate, float]], available: int) -> 
     ``best[c]``, the top score of the remaining candidates within ``c``
     aircraft, and marks where taking candidate i scores ``>=`` skipping it.
     Backtracking forward from full availability then takes every tied
-    candidate it can, which gives the lexicographically smallest id tuple.
+    candidate it can, in id order, as the tie rule asks.
     """
     if sum(cand.aircraft_needed for cand, _ in items) <= available:
         return [cand for cand, _ in items]

@@ -8,14 +8,14 @@ survivor beyond physical capacity costs a flat denied-boarding amount.
 
 Expectations are exact sums over the truncated demand distributions. A
 Poisson pmf is built from ``exp(k log(mean) - mean - lgamma(k + 1))`` and cut
-at the smallest support whose tail mass is below 1e-9. The binomial show-up
-tails for the overbooking limit and the expected denied boardings come from
-one forward sweep over the number of bookings, with the point mass kept as
-mantissa and binary exponent so it cannot underflow. Expected revenue is one
-``fsum`` over a = min(D_low, B - P), the accepted low fares under booking
-limit B and protection P, not over the whole demand grid. The Monte Carlo path
-uses numpy's PCG64 generator seeded explicitly; draw order per trial is low
-demand, high demand, low show-ups, high show-ups, so identical inputs and
+at the smallest support whose tail mass is below 1e-9. Each leg sweeps its
+binomial show-up tails once, forward to 3 x capacity bookings (the bound on
+any booking limit), keeping the point mass as mantissa and binary exponent so
+it cannot underflow; the overbooking limit and the denied boardings read that
+one table. Expected revenue is one ``fsum`` over a = min(D_low, B - P), the
+accepted low fares under booking limit B and protection P. The Monte Carlo
+path uses numpy's PCG64 generator seeded explicitly; draw order per trial is
+low demand, high demand, low show-ups, high show-ups, so identical inputs and
 seed reproduce summaries bit for bit.
 """
 
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,9 +32,9 @@ from .errors import InvalidPolicy
 TAIL_MASS = 1e-9
 OVERBOOKING_SEARCH_FACTOR = 3
 #: Largest work a leg may ask for: the Poisson support built before truncation,
-#: the overbooking sweep over 3 x capacity bookings, and |D_low| x |D_high|,
-#: which bounds the multiply-adds of expected_revenue's denied-boarding
-#: correlation, each stay within this many cells.
+#: the one show-up sweep over 3 x capacity bookings (the bound on any booking
+#: limit), and |D_low| x |D_high|, which bounds the multiply-adds of
+#: expected_revenue's denied-boarding correlation, each stay within this many cells.
 MAX_RM_CELLS = 10**6
 #: Most Monte Carlo trials per leg: simulate_leg holds about 13 arrays of 8
 #: bytes per trial at once, about 105 MB at this bound.
@@ -49,7 +50,6 @@ def _tails(pmf) -> np.ndarray:
 class DemandModel:
     """Truncated demand distribution on {0, 1, ..., truncation}."""
 
-    kind: str
     pmf: tuple[float, ...]
 
     @classmethod
@@ -58,7 +58,7 @@ class DemandModel:
         if mean < 0:
             raise ValueError(f"poisson mean must be >= 0, got {mean!r}")
         if mean == 0:
-            return cls("poisson", (1.0,))
+            return cls((1.0,))
         # the mass beyond 40 standard deviations is far below double precision
         size = int(mean + 40 * math.sqrt(mean)) + 61
         if size > MAX_RM_CELLS:
@@ -66,7 +66,7 @@ class DemandModel:
         k = np.arange(size)
         pmf = np.exp(k * math.log(mean) - np.fromiter(map(math.lgamma, k + 1.0), float) - mean)
         t = int(np.argmax(_tails(pmf) < TAIL_MASS))
-        return cls("poisson", tuple(pmf[: t + 1].tolist()))
+        return cls(tuple(pmf[: t + 1].tolist()))
 
     @classmethod
     def discrete(cls, pmf: list[float]) -> "DemandModel":
@@ -80,7 +80,7 @@ class DemandModel:
         total = math.fsum(values)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"pmf sums to {total!r}, outside 1 +/- 1e-9")
-        return cls("discrete", values)
+        return cls(values)
 
     @classmethod
     def deterministic(cls, value: int) -> "DemandModel":
@@ -127,6 +127,11 @@ class LegRMProblem:
         if cells > MAX_RM_CELLS:
             raise ValueError(f"the denied-boarding sum takes {cells} products, over the limit of {MAX_RM_CELLS}")
 
+    @cached_property
+    def _show_ups(self) -> tuple[np.ndarray, np.ndarray]:
+        """The leg's one show-up sweep, out to the 3 x capacity booking bound."""
+        return _show_up_sweep(self.capacity, self.show_up_prob, OVERBOOKING_SEARCH_FACTOR * self.capacity)
+
 
 @dataclass(frozen=True)
 class RMPolicy:
@@ -143,10 +148,11 @@ class RMPolicy:
 
 
 def _check_policy(problem: LegRMProblem, policy: RMPolicy) -> None:
-    if not (0 <= policy.protection_level <= problem.capacity <= policy.booking_limit):
+    bound = OVERBOOKING_SEARCH_FACTOR * problem.capacity
+    if not (0 <= policy.protection_level <= problem.capacity <= policy.booking_limit <= bound):
         raise InvalidPolicy(
             f"need 0 <= protection ({policy.protection_level}) <= capacity "
-            f"({problem.capacity}) <= booking_limit ({policy.booking_limit})"
+            f"({problem.capacity}) <= booking_limit ({policy.booking_limit}) <= {bound}"
         )
 
 
@@ -191,7 +197,7 @@ def expected_revenue(problem: LegRMProblem, policy: RMPolicy) -> float:
     """
     _check_policy(problem, policy)
     booking, low_cap = policy.booking_limit, policy.booking_limit - policy.protection_level
-    _, over = _show_up_sweep(problem.capacity, problem.show_up_prob, booking)
+    _, over = problem._show_ups
     low, high = np.asarray(problem.demand_low.pmf), np.asarray(problem.demand_high.pmf)
     # P(a): the pmf below B - P, and the whole low-fare tail at a = B - P
     weight = np.append(low[:low_cap], math.fsum(low[low_cap:].tolist()))[: low.size]
@@ -212,15 +218,12 @@ def overbooking_limit(problem: LegRMProblem) -> int:
 
     The marginal condition is fare_low - denied_cost * P(survivors of the
     previous bookings >= capacity) > 0, with survivors binomial in the
-    show-up probability. The search stops at 3x capacity, where the limit
-    means overbooking incentives never turned negative.
+    show-up probability. The limit is the first booking count from capacity
+    on whose next booking fails it, or 3x capacity if none does.
     """
-    bound = OVERBOOKING_SEARCH_FACTOR * problem.capacity
-    full, _ = _show_up_sweep(problem.capacity, problem.show_up_prob, bound - 1)
-    limit = problem.capacity
-    while limit < bound and problem.fare_low - problem.denied_cost * full[limit] > 0.0:
-        limit += 1
-    return limit
+    full, _ = problem._show_ups
+    pays = problem.fare_low - problem.denied_cost * full[problem.capacity : -1] > 0.0
+    return problem.capacity + int(np.argmin(np.append(pays, False)))
 
 
 def fcfs_baseline(problem: LegRMProblem) -> float:
@@ -262,11 +265,8 @@ def simulate_leg(
     d_high = _sample_demand(problem.demand_high, rng.random(trials))
     acc_low = np.minimum(d_low, policy.booking_limit - policy.protection_level)
     acc_high = np.minimum(d_high, policy.booking_limit - acc_low)
-    if problem.show_up_prob == 1.0:
-        show_low, show_high = acc_low, acc_high
-    else:
-        show_low = rng.binomial(acc_low, problem.show_up_prob)
-        show_high = rng.binomial(acc_high, problem.show_up_prob)
+    show_low = rng.binomial(acc_low, problem.show_up_prob)
+    show_high = rng.binomial(acc_high, problem.show_up_prob)
     survivors = show_low + show_high
     boarded = np.minimum(survivors, problem.capacity)
     denied = survivors - boarded

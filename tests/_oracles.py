@@ -54,8 +54,9 @@ def enumerate_best_plan(ids, scores, fleet_names, needs, availability):
     """Exhaustive max-score plan over positive-score candidates.
 
     Candidates are filtered to score > 0, sorted by id, and every subset is
-    scored with a left-to-right sum in id order. Ties resolve toward the
-    lexicographically smallest id tuple. Fast path: numpy subset matrices.
+    scored with a left-to-right sum in id order. Of two tied subsets, the one
+    holding the smallest id on which they differ wins, so a route whose score
+    is lost to rounding is still taken. Fast path: numpy subset matrices.
     """
     order = sorted(range(len(ids)), key=lambda i: ids[i])
     keep = [i for i in order if scores[i] > 0.0]
@@ -77,20 +78,19 @@ def enumerate_best_plan(ids, scores, fleet_names, needs, availability):
     top = float(totals.max())
     # refine near-optimal subsets with exact ordered sums
     close = np.nonzero(totals >= top - 1e-6)[0]
-    best_score = -math.inf
-    best_sel = None
+    # (total, inclusion flags in id order): on equal totals, the larger flags win
+    best, best_sel = (-math.inf, ()), None
     for idx in close:
         chosen = [keep[j] for j in range(n) if masks[idx, j]]
         exact = 0.0
         for i in chosen:
             exact += scores[i]
-        sel = tuple(ids[i] for i in chosen)
-        if exact > best_score or (exact == best_score and sel < best_sel):
-            best_score = exact
-            best_sel = sel
-    if best_score < 0.0:
+        key = (exact, tuple(masks[idx]))
+        if key > best:
+            best, best_sel = key, tuple(ids[i] for i in chosen)
+    if best[0] < 0.0:
         return 0.0, ()
-    return best_score, best_sel
+    return best[0], best_sel
 
 
 def enumerate_best_plan_per_fleet(ids, scores, fleet_names, needs, availability):

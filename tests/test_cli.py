@@ -128,7 +128,6 @@ class TestExitCodes:
         assert reason in err
         assert "Traceback" not in err
 
-    @pytest.mark.filterwarnings("error")
     def test_overflowing_rm_leg_is_one(self, capsys):
         path = str(REGRESS / "overflow_rm_fares.json")
         assert main(["validate", "--scenario", path]) == 0

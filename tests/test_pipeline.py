@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from routebayes import rm
 from routebayes.errors import RouteBayesError
 from routebayes.pipeline import STAGES, evaluate_routes, mean_likelihoods, run_pipeline
 from routebayes.report import Report, report_to_json
@@ -122,6 +123,14 @@ class TestStages:
         assert report.optimization["sensitivity"] == [round12(v) for v in means.values]
         assert report.optimization["sensitivity"] == [0.2, 0.5, 0.5]
 
+    def test_rm_sweeps_show_ups_once_per_leg(self, monkeypatch):
+        calls = []
+        sweep = rm._show_up_sweep
+        monkeypatch.setattr(rm, "_show_up_sweep", lambda *args: calls.append(args) or sweep(*args))
+        scenario = load_scenario(DEMO)
+        run_pipeline(scenario, ["rm"], trials=200)
+        assert [args[0] for args in calls] == [leg.problem.capacity for leg in scenario.rm_legs]
+
 
 class TestDeterminism:
     def test_repeat_runs_identical_modulo_timestamp(self, demo):
@@ -191,13 +200,12 @@ def _reject_constant(name):
     raise AssertionError(f"report carries {name}, which is not JSON")
 
 
-@pytest.mark.filterwarnings("error")
 @settings(max_examples=300, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(DOCUMENT)
 def test_every_loaded_scenario_runs(doc):
     """A document either fails to load with a typed error or runs every stage to a typed end.
 
-    Warnings are errors here, so a numpy overflow that would only warn fails
+    Warnings are errors (pyproject.toml), so a numpy overflow that would only warn fails
     the test, and every report that runs must be valid JSON.
     """
     try:

@@ -186,6 +186,17 @@ class TestEdgeCases:
         candidates = [cand("a", profit=4.0, need=2), cand("b", profit=4.0, need=2), cand("c", profit=1.0)]
         assert select_routes(candidates, {"f1": 3}).selected == ("a", "c")
 
+    def test_score_lost_to_rounding_is_still_taken(self):
+        # 1e20 + 1.0 == 1e20, so ("a",) and ("a", "b") tie; b is taken, whether
+        # the fleet is taken whole or, with c in the way, solved by the table
+        for extra in ([], [cand("c", profit=1.0)]):
+            candidates = [cand("a", profit=1e20), cand("b", profit=1.0, need=0)] + extra
+            plan = select_routes(candidates, {"f1": 1})
+            assert plan.selected == ("a", "b")
+            assert plan.total_score == 1e20
+            assert oracle(candidates, {"f1": 1}) == (1e20, ("a", "b"))
+            assert oracle(candidates, {"f1": 1}, enumerate_best_plan_per_fleet) == (1e20, ("a", "b"))
+
     def test_zero_aircraft_candidates_with_zero_availability(self):
         candidates = [
             cand("a", need=0, profit=5.0),

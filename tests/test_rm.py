@@ -188,6 +188,16 @@ class TestExpectedRevenue:
         with pytest.raises(InvalidPolicy):
             expected_revenue(leg(capacity=10), RMPolicy(0, 9))
 
+    def test_booking_limit_bounded_at_search_bound(self):
+        problem = leg(capacity=10)
+        bound = OVERBOOKING_SEARCH_FACTOR * problem.capacity
+        for kernel in (expected_revenue, lambda p, policy: simulate_leg(p, policy, 10, 0)):
+            with pytest.raises(InvalidPolicy, match=r"<= 30$"):
+                kernel(problem, RMPolicy(2, bound + 1))
+            kernel(problem, RMPolicy(2, bound))
+        with pytest.raises(InvalidPolicy):
+            expected_revenue(problem, RMPolicy(0, 2_000_000))
+
     def test_protection_optimality_small_scan(self):
         rng = np.random.default_rng(505)
         for _ in range(25):
