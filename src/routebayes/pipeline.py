@@ -6,6 +6,7 @@ contains only the sections that were requested. When optimize runs, the
 optimized weights feed the plan stage's probability-weighted scores,
 otherwise the scenario's prior weights do. Reports are deterministic for a
 fixed scenario, stage set, trial count, and seed; only the timestamp varies.
+Section builders round each float with ``round12``; ``uplift_pct`` uses unrounded values.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .optimizer import BoxConstraints, OptimizationResult, optimize_weights
 from .planner import NetworkPlan, RouteCandidate, score_candidate, select_routes
 from .report import Report
 from .rm import MAX_TRIALS, RMPolicy, expected_revenue, fcfs_baseline, littlewood_protection, overbooking_limit, simulate_leg
-from .scenario import Scenario, round_tree
+from .scenario import Scenario, round12
 
 STAGES = ("evaluate", "optimize", "plan", "rm")
 DEFAULT_TRIALS = 10_000
@@ -66,16 +67,16 @@ def _stage_context(name: str):
 def _each(section: str, records, work, figures) -> list:
     """``work(index, record)`` per record; errors, numpy overflow and non-finite ``figures(result)`` name the record."""
     results = []
-    for index, record in enumerate(records):
-        try:
-            with np.errstate(over="raise", invalid="raise"):
+    with np.errstate(over="raise", invalid="raise"):
+        for index, record in enumerate(records):
+            try:
                 result = work(index, record)
-            for name, value in figures(result).items():
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise ValueError(f"{name} is not finite: {value!r}")
-        except (ValueError, ArithmeticError) as exc:
-            raise ValidationError(f"{section}[{record.id}]", str(exc)) from exc
-        results.append(result)
+                for name, value in figures(result).items():
+                    if isinstance(value, float) and not math.isfinite(value):
+                        raise ValueError(f"{name} is not finite: {value!r}")
+            except (ValueError, ArithmeticError) as exc:
+                raise ValidationError(f"{section}[{record.id}]", str(exc)) from exc
+            results.append(result)
     return results
 
 
@@ -161,57 +162,51 @@ def _top_driver(ids: tuple[str, ...], evaluation: Evaluation) -> str:
 
 
 def _evaluation_section(scenario: Scenario, rows: list[RouteEvaluation]) -> dict:
-    return round_tree(
-        {
-            "hypotheses": list(scenario.hypotheses.ids),
-            "weights": list(scenario.weights.values),
-            "target_load_factor": scenario.target_load_factor,
-            "routes": [
-                {
-                    "route_id": row.route.id,
-                    "fleet": row.fleet.name,
-                    "flights_per_week": row.requirement.flights_per_week,
-                    "aircraft": row.requirement.aircraft_count,
-                    "achieved_load_factor": row.requirement.achieved_load_factor,
-                    "profit": row.profit,
-                    "likelihoods": list(row.likelihoods.values),
-                    "total_probability": row.evaluation.total_probability,
-                    "posterior": list(row.evaluation.posterior.values),
-                    "top_driver": _top_driver(scenario.hypotheses.ids, row.evaluation),
-                    "score": row.score,
-                }
-                for row in rows
-            ],
-        }
-    )
+    return {
+        "hypotheses": list(scenario.hypotheses.ids),
+        "weights": list(map(round12, scenario.weights.values)),
+        "target_load_factor": round12(scenario.target_load_factor),
+        "routes": [
+            {
+                "route_id": row.route.id,
+                "fleet": row.fleet.name,
+                "flights_per_week": row.requirement.flights_per_week,
+                "aircraft": row.requirement.aircraft_count,
+                "achieved_load_factor": round12(row.requirement.achieved_load_factor),
+                "profit": round12(row.profit),
+                "likelihoods": list(map(round12, row.likelihoods.values)),
+                "total_probability": round12(row.evaluation.total_probability),
+                "posterior": list(map(round12, row.evaluation.posterior.values)),
+                "top_driver": _top_driver(scenario.hypotheses.ids, row.evaluation),
+                "score": round12(row.score),
+            }
+            for row in rows
+        ],
+    }
 
 
 def _optimization_section(scenario: Scenario, result: OptimizationResult, likelihoods: LikelihoodVector) -> dict:
-    return round_tree(
-        {
-            "hypotheses": list(scenario.hypotheses.ids),
-            "weights": list(result.weights.values),
-            "objective": result.objective,
-            "active_bounds": list(result.active_bounds),
-            # moving mass eps from driver j to driver i changes the linear objective by
-            # eps * (L[i] - L[j]), so the transfer coefficients are the likelihoods
-            "sensitivity": list(likelihoods.values),
-        }
-    )
+    return {
+        "hypotheses": list(scenario.hypotheses.ids),
+        "weights": list(map(round12, result.weights.values)),
+        "objective": round12(result.objective),
+        "active_bounds": list(result.active_bounds),
+        # moving mass eps from driver j to driver i changes the linear objective by
+        # eps * (L[i] - L[j]), so the transfer coefficients are the likelihoods
+        "sensitivity": list(map(round12, likelihoods.values)),
+    }
 
 
 def _plan_section(scenario: Scenario, plan: NetworkPlan, weights_label: str) -> dict:
-    return round_tree(
-        {
-            "weights_used": weights_label,
-            "selected": list(plan.selected),
-            "used": dict(plan.used),
-            "availability": dict(scenario.availability.counts),
-            "total_score": plan.total_score,
-            "per_route_scores": dict(plan.per_route_scores),
-            "heuristic": plan.heuristic,
-        }
-    )
+    return {
+        "weights_used": weights_label,
+        "selected": list(plan.selected),
+        "used": dict(plan.used),
+        "availability": dict(scenario.availability.counts),
+        "total_score": round12(plan.total_score),
+        "per_route_scores": {rid: round12(score) for rid, score in plan.per_route_scores.items()},
+        "heuristic": plan.heuristic,
+    }
 
 
 def _rm_leg(leg, trials: int, seed: int) -> dict:
@@ -221,21 +216,21 @@ def _rm_leg(leg, trials: int, seed: int) -> dict:
     policy = RMPolicy(protection_level=protection, booking_limit=limit)
     expected = expected_revenue(problem, policy)
     fcfs = fcfs_baseline(problem)
-    uplift = 100.0 * (expected - fcfs) / fcfs if fcfs != 0.0 else None
+    uplift = round12(100.0 * (expected - fcfs) / fcfs) if fcfs != 0.0 else None
     summary = simulate_leg(problem, policy, trials, seed)
     return {
         "leg_id": leg.id,
         "protection_level": protection,
         "booking_limit": limit,
-        "expected_revenue": expected,
-        "fcfs_revenue": fcfs,
+        "expected_revenue": round12(expected),
+        "fcfs_revenue": round12(fcfs),
         "uplift_pct": uplift,
         "simulation": {
-            "mean_revenue": summary.mean_revenue,
-            "mean_load_factor": summary.mean_load_factor,
-            "denied_rate": summary.denied_rate,
-            "spill_rate": summary.spill_rate,
-            "mean_revenue_se": summary.mean_revenue_se,
+            "mean_revenue": round12(summary.mean_revenue),
+            "mean_load_factor": round12(summary.mean_load_factor),
+            "denied_rate": round12(summary.denied_rate),
+            "spill_rate": round12(summary.spill_rate),
+            "mean_revenue_se": round12(summary.mean_revenue_se),
         },
     }
 
@@ -243,7 +238,7 @@ def _rm_leg(leg, trials: int, seed: int) -> dict:
 def _rm_section(scenario: Scenario, trials: int, seed: int) -> dict:
     legs = _each("rm_legs", scenario.rm_legs, lambda index, leg: _rm_leg(leg, trials, _leg_seed(seed, index)),
                  lambda leg: leg | leg["simulation"])
-    return round_tree({"trials": trials, "seed": seed, "legs": legs})
+    return {"trials": trials, "seed": seed, "legs": legs}
 
 
 def run_pipeline(

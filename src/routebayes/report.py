@@ -1,22 +1,24 @@
 """Report container and emitters (json, csv, table).
 
 JSON is the canonical form: stable key order, floats at 12 significant
-digits (rounding happens when the report is built, so emitting and
-re-parsing is lossless). CSV writes one file per section with fixed,
-documented headers; the table format is for reading at a terminal. File
-output is atomic (temp file plus rename).
+digits (the pipeline rounds each float as it builds a section, so emitting
+and re-parsing is lossless), written by ``scenario.json_text`` with the
+bytes of ``json.dumps(indent=2)``. CSV writes one file per section with
+fixed, documented headers; the table format is for reading at a terminal.
+File output is atomic (temp file plus rename).
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .scenario import atomic_write_text
+from .errors import IoError
+from .scenario import atomic_write_text, json_text
 
 FORMATS = ("json", "csv", "table")
 
@@ -56,7 +58,7 @@ class Report:
 
 
 def report_to_json(report: Report) -> str:
-    return json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n"
+    return json_text(report.to_dict()) + "\n"
 
 
 def _posterior_columns(hypothesis_ids) -> list[str]:
@@ -234,10 +236,13 @@ def emit_report(report: Report, format: str = "json", destination=None) -> None:
 
     csv produces one file per section (``<stem>.<section>.csv``, or
     ``<dir>/<section>.csv`` when the destination is a directory); on stdout
-    the sections are separated by ``# section: <name>`` lines.
+    the sections are separated by ``# section: <name>`` lines. A destination
+    ending in a path separator names a directory, which must exist.
     """
     if format not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
+    if isinstance(destination, str) and destination.endswith(("/", os.sep)) and not Path(destination).is_dir():
+        raise IoError(f"cannot write {destination}: no such directory")
     if format == "json":
         text = report_to_json(report)
     elif format == "table":

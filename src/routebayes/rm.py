@@ -175,15 +175,17 @@ def _show_up_sweep(capacity: int, p: float, max_booked: int) -> tuple[np.ndarray
     mass is carried as a mantissa and a binary exponent because its start,
     p**(capacity - 1), underflows at large capacities and low show-up rates.
     """
-    full = np.zeros(max_booked + 1)
+    frexp, ldexp, q = math.frexp, math.ldexp, 1.0 - p
+    steps = [0.0] * capacity
     mantissa, exponent = 1.0, 0
     for _ in range(capacity - 1):
-        mantissa, shift = math.frexp(mantissa * p)
+        mantissa, shift = frexp(mantissa * p)
         exponent += shift
     for m in range(capacity - 1, max_booked):
-        full[m + 1] = full[m] + p * math.ldexp(mantissa, exponent)
-        mantissa, shift = math.frexp(mantissa * (m + 1) / (m + 2 - capacity) * (1.0 - p))
+        steps.append(p * ldexp(mantissa, exponent))
+        mantissa, shift = frexp(mantissa * (m + 1) / (m + 2 - capacity) * q)
         exponent += shift
+    full = np.cumsum(steps)  # adds left to right, as full[m + 1] = full[m] + step would
     return full, np.append(0.0, np.cumsum(p * full[:-1]))
 
 

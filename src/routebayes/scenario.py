@@ -26,8 +26,8 @@ from __future__ import annotations
 import json
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .bayes import DEFAULT_DRIVERS, Hypothesis, HypothesisSet, WeightVector, uniform_weights, validate_simplex
@@ -399,15 +399,40 @@ def dump_scenario(scenario: Scenario) -> dict:
     return round_tree(dict(scenario.source))
 
 
+def json_text(value, pad: str = "\n") -> str:
+    """The text of ``json.dumps(value, indent=2, allow_nan=False)`` for trees of dict, list, str, int, float, bool
+    and None, in one pass: with ``indent`` set, the standard encoder runs a Python generator per container."""
+    if isinstance(value, float):
+        if not abs(value) <= sys.float_info.max:  # false for NaN too
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, list):
+        items = [json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    if isinstance(value, dict):
+        items = [encode_basestring_ascii(k) + ": " + json_text(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def scenario_to_json(scenario: Scenario) -> str:
-    return json.dumps(dump_scenario(scenario), indent=2) + "\n"
+    return json_text(dump_scenario(scenario)) + "\n"
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
+    """Write via a temp file in the same directory, then rename into place; mode 0o666 less the umask, as open()."""
     target = Path(path)
+    # a str, not a Path: pathlib interns the parts of each path it parses, and every temp name is new
+    tmp = os.path.join(target.parent, f".{target.name}.{os.urandom(6).hex()}")
     try:
-        fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), prefix=f".{target.name}.")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(text)

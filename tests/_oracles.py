@@ -183,6 +183,20 @@ def binom_tail_log(n, p, c):
     )
 
 
+def show_up_sweep_loop(capacity, p, max_booked):
+    """The show-up sweep writing each booking into the array in turn: full[m + 1] = full[m] + step."""
+    full = np.zeros(max_booked + 1)
+    mantissa, exponent = 1.0, 0
+    for _ in range(capacity - 1):
+        mantissa, shift = math.frexp(mantissa * p)
+        exponent += shift
+    for m in range(capacity - 1, max_booked):
+        full[m + 1] = full[m] + p * math.ldexp(mantissa, exponent)
+        mantissa, shift = math.frexp(mantissa * (m + 1) / (m + 2 - capacity) * (1.0 - p))
+        exponent += shift
+    return full, np.append(0.0, np.cumsum(p * full[:-1]))
+
+
 def grid_expected_revenue(problem, policy):
     """Exact expected revenue summed over the whole |D_low| x |D_high| demand grid."""
     _check_policy(problem, policy)

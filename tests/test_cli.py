@@ -44,6 +44,12 @@ class TestExitCodes:
         assert main(["validate", "--scenario", str(tmp_path / "missing.json")]) == 3
         capsys.readouterr()
 
+    def test_csv_to_missing_directory_is_three(self, tmp_path, capsys):
+        out = str(tmp_path / "missing") + "/"
+        assert main(["plan", "--scenario", DEMO, "--format", "csv", "--out", out]) == 3
+        assert out in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["validate", "evaluate"])
     @pytest.mark.parametrize("section,field,value", [
         ("routes", "demand_pax_per_week", float("nan")),

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 from routebayes.pipeline import run_pipeline
-from routebayes.report import report_to_json
-from routebayes.scenario import load_scenario
+from routebayes.report import Report, report_to_json
+from routebayes.scenario import load_scenario, round_tree
 
 ROOT = Path(__file__).parents[1]
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -24,13 +24,13 @@ SCENARIOS = (
 )
 
 
-def render(path: Path) -> str:
-    """The JSON report of every stage the scenario supports, timestamp blanked."""
+def build(path: Path) -> Report:
+    """The report of every stage the scenario supports, timestamp blanked."""
     scenario = load_scenario(path)
     stages = ["evaluate", "optimize", "plan", "rm"] if scenario.routes else ["evaluate", "rm"]
     report = run_pipeline(scenario, stages)
     report.meta["timestamp"] = ""
-    return report_to_json(report)
+    return report
 
 
 def test_every_scenario_has_a_golden_report():
@@ -41,6 +41,12 @@ def test_every_scenario_has_a_golden_report():
 @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
 def test_report_matches_golden(path):
     want = (GOLDEN / path.name).read_text(encoding="utf-8")
-    got = render(path)
+    got = report_to_json(build(path))
     assert json.loads(got)["meta"]["timestamp"] == ""
     assert got == want
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_every_float_is_rounded_where_its_section_is_built(path):
+    doc = build(path).to_dict()
+    assert round_tree(doc) == doc

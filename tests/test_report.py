@@ -1,11 +1,15 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from routebayes.errors import IoError
 from routebayes.pipeline import run_pipeline
 from routebayes.report import Report, emit_report, report_to_json
-from routebayes.scenario import load_scenario, round12
+from routebayes.scenario import json_text, load_scenario, round12
 
 DEMO = Path(__file__).parents[1] / "scenarios" / "demo.json"
 
@@ -38,6 +42,47 @@ class TestJson:
         doc["rm"] = dict(doc["rm"], legs=[dict(doc["rm"]["legs"][0], uplift_pct=value)])
         with pytest.raises(ValueError, match="not JSON compliant"):
             report_to_json(Report.from_dict(doc))
+
+
+KEYS = st.text() | st.sampled_from(["", "caf\u00e9", "\u2028", "\U0001f6eb", 'a"b\\c', "\n\t\x00"])
+LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40) | KEYS
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1e16, 1.0, 0.1, 1.7976931348623157e308])
+)
+
+
+def json_trees(depth: int):
+    if depth == 0:
+        return LEAVES
+    inner = json_trees(depth - 1)
+    return LEAVES | st.lists(inner, max_size=4) | st.dictionaries(KEYS, inner, max_size=4)
+
+
+class TestWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(json_trees(6))
+    @example({})
+    @example([])
+    @example({"a": [], "b": {}, "c": [{}, [[]]]})
+    @example({"\u00fc": [-0.0, 5e-324, 1e16, 10**30, True, None]})
+    def test_matches_json_dumps_indent_2(self, tree):
+        assert json_text(tree) == json.dumps(tree, indent=2, allow_nan=False)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_raises_the_json_dumps_error(self, value):
+        tree = {"legs": [{"uplift_pct": value}]}
+        with pytest.raises(ValueError) as want:
+            json.dumps(tree, indent=2, allow_nan=False)
+        with pytest.raises(ValueError) as got:
+            json_text(tree)
+        assert str(got.value) == str(want.value)
+        assert "not JSON compliant" in str(got.value)
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", (1, 2), {1: "int key"}])
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            json_text({"value": value})
 
 
 class TestRounding:
@@ -118,3 +163,21 @@ class TestErrors:
     def test_unknown_format(self, full_report):
         with pytest.raises(ValueError):
             emit_report(full_report, format="xml")
+
+    @pytest.mark.parametrize("format", ["json", "csv", "table"])
+    def test_missing_directory_is_an_io_error(self, full_report, tmp_path, format):
+        with pytest.raises(IoError, match="missing"):
+            emit_report(full_report, format=format, destination=str(tmp_path / "missing") + os.sep)
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestFileMode:
+    @pytest.mark.parametrize("format", ["json", "csv"])
+    def test_written_files_follow_the_umask(self, full_report, tmp_path, format):
+        old = os.umask(0o022)
+        try:
+            emit_report(full_report, format=format, destination=tmp_path / "out")
+        finally:
+            os.umask(old)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+        assert modes and set(modes.values()) == {0o644}

@@ -17,6 +17,7 @@ from _oracles import (
     pmf_mean,
     pmf_survival,
     poisson_tail,
+    show_up_sweep_loop,
 )
 from routebayes.errors import InvalidPolicy
 from routebayes.rm import (
@@ -277,6 +278,17 @@ class TestExpectedRevenueMatchesGrid:
 
 
 class TestShowUpSweep:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 400), st.floats(0.01, 1.0))
+    @example(1, 1.0)
+    @example(250, 1.0)
+    @example(3000, 0.33)  # the point mass underflows before the sweep reaches capacity
+    @example(20_000, 0.92)
+    def test_bit_identical_to_the_loop(self, capacity, p):
+        got = _show_up_sweep(capacity, p, OVERBOOKING_SEARCH_FACTOR * capacity)
+        want = show_up_sweep_loop(capacity, p, OVERBOOKING_SEARCH_FACTOR * capacity)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
     @pytest.mark.parametrize("p", [0.33, 0.85, 0.97, 1.0])
     @pytest.mark.parametrize("capacity", [1, 7, 30])
     def test_matches_comb_sums(self, capacity, p):
