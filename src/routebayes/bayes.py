@@ -20,14 +20,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import (
-    EmptyVector,
-    LengthMismatch,
-    NegativeEntry,
-    SumOutOfTolerance,
-    ZeroEvidence,
-)
-
 #: Accepted drift of an input simplex away from sum 1 (serialization round-off).
 SIMPLEX_TOLERANCE = 1e-9
 
@@ -54,7 +46,7 @@ class HypothesisSet:
     def __post_init__(self):
         object.__setattr__(self, "hypotheses", tuple(self.hypotheses))
         if not self.hypotheses:
-            raise EmptyVector("a hypothesis set needs at least one hypothesis")
+            raise ValueError("a hypothesis set needs at least one hypothesis")
         ids = [h.id for h in self.hypotheses]
         if len(set(ids)) != len(ids):
             raise ValueError(f"hypothesis ids must be unique, got {ids}")
@@ -94,12 +86,12 @@ DEFAULT_DRIVERS = HypothesisSet(
 
 def _check_entries(values: tuple[float, ...]) -> None:
     if not values:
-        raise EmptyVector("vector must have at least one entry")
+        raise ValueError("vector must have at least one entry")
     for i, v in enumerate(values):
         if not math.isfinite(v):
             raise ValueError(f"entry at index {i} is not finite: {v!r}")
         if v < 0:
-            raise NegativeEntry(i, v)
+            raise ValueError(f"entry {v!r} at index {i} is negative")
 
 
 @dataclass(frozen=True)
@@ -120,7 +112,7 @@ class WeightVector:
                 raise ValueError(f"weight {v!r} at index {i} exceeds 1")
         total = math.fsum(self.values)
         if abs(total - 1.0) > SIMPLEX_TOLERANCE:
-            raise SumOutOfTolerance(total, SIMPLEX_TOLERANCE)
+            raise ValueError(f"entries sum to {total!r}, outside 1 +/- {SIMPLEX_TOLERANCE!r}")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -169,36 +161,34 @@ class Evaluation:
     posterior: WeightVector
 
 
-def validate_simplex(raw: Sequence[float], tolerance: float = SIMPLEX_TOLERANCE) -> WeightVector:
-    """Check a nonnegative vector sums to 1 within ``tolerance`` and renormalize.
+def validate_simplex(raw: Sequence[float]) -> WeightVector:
+    """Check a nonnegative vector sums to 1 within SIMPLEX_TOLERANCE and renormalize.
 
     Renormalization divides by the actual sum, so the accepted vector sums to
     one exactly up to float rounding and drift does not accumulate across
     load/store cycles. Order is preserved.
 
-    Raises EmptyVector, NegativeEntry (with index), or SumOutOfTolerance
-    (reporting the offending sum).
+    Raises ValueError naming the rule broken: an empty vector, a non-finite
+    or negative entry (with its index), or the offending sum.
     """
     values = tuple(float(v) for v in raw)
     _check_entries(values)
     total = math.fsum(values)
-    if abs(total - 1.0) > tolerance:
-        raise SumOutOfTolerance(total, tolerance)
+    if abs(total - 1.0) > SIMPLEX_TOLERANCE:
+        raise ValueError(f"entries sum to {total!r}, outside 1 +/- {SIMPLEX_TOLERANCE!r}")
     return WeightVector(tuple(v / total for v in values))
 
 
 def uniform_weights(n: int) -> WeightVector:
     """Uniform prior over ``n`` drivers."""
     if n < 1:
-        raise EmptyVector("need at least one hypothesis")
+        raise ValueError("need at least one hypothesis")
     return validate_simplex([1.0 / n] * n)
 
 
 def _check_lengths(weights: WeightVector, likelihoods: LikelihoodVector) -> None:
     if len(weights) != len(likelihoods):
-        raise LengthMismatch(
-            f"{len(weights)} weights vs {len(likelihoods)} likelihoods"
-        )
+        raise ValueError(f"{len(weights)} weights vs {len(likelihoods)} likelihoods")
 
 
 def total_probability(weights: WeightVector, likelihoods: LikelihoodVector) -> float:
@@ -227,6 +217,6 @@ def posterior(weights: WeightVector, likelihoods: LikelihoodVector) -> Evaluatio
     for c in contributions:
         total += c
     if total == 0.0:
-        raise ZeroEvidence("total probability is zero; posterior is undefined")
+        raise ValueError("total probability is zero; posterior is undefined")
     post = WeightVector(tuple(c / total for c in contributions))
     return Evaluation(total, contributions, post)

@@ -15,12 +15,6 @@ import math
 from dataclasses import dataclass
 
 from .bayes import LikelihoodVector
-from .errors import (
-    DegenerateAnchors,
-    InvalidLoadFactor,
-    NonpositiveUtilization,
-    RangeInfeasible,
-)
 
 
 @dataclass(frozen=True)
@@ -105,7 +99,7 @@ class AnchorPair:
 
     def __post_init__(self):
         if self.worst == self.best:
-            raise DegenerateAnchors(f"worst and best anchors must differ, both are {self.worst!r}")
+            raise ValueError(f"worst and best anchors must differ, both are {self.worst!r}")
 
 
 @dataclass(frozen=True)
@@ -134,7 +128,7 @@ def required_frequency(demand_pax_per_week: float, seats: int, target_load_facto
     ceil(demand / (seats * target_load_factor)); zero demand needs zero flights.
     """
     if not (0.0 < target_load_factor <= 1.0):
-        raise InvalidLoadFactor(f"target load factor must be in (0, 1], got {target_load_factor!r}")
+        raise ValueError(f"target load factor must be in (0, 1], got {target_load_factor!r}")
     if seats < 1:
         raise ValueError(f"seats must be >= 1, got {seats!r}")
     if demand_pax_per_week < 0:
@@ -147,7 +141,7 @@ def required_frequency(demand_pax_per_week: float, seats: int, target_load_facto
 def aircraft_required(flights_per_week: int, block_hours_per_flight: float, utilization: float) -> int:
     """Aircraft needed to fly the weekly frequency at the given utilization."""
     if utilization <= 0:
-        raise NonpositiveUtilization(f"utilization must be > 0, got {utilization!r}")
+        raise ValueError(f"utilization must be > 0, got {utilization!r}")
     if flights_per_week < 0:
         raise ValueError(f"flights must be >= 0, got {flights_per_week!r}")
     if block_hours_per_flight <= 0:
@@ -173,7 +167,7 @@ def route_profit(route: Route, fleet: FleetType, flights_per_week: int) -> float
     if flights_per_week == 0:
         return 0.0
     if not range_feasible(route, fleet):
-        raise RangeInfeasible(
+        raise ValueError(
             f"route {route.id} is {route.distance_km!r} km but {fleet.name} "
             f"ranges {fleet.range_km!r} km"
         )

@@ -1,7 +1,11 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the one rule for using them.
 
-Every failure raised on purpose derives from RouteBayesError, so callers
-(and the CLI) can map failures to exit codes without string matching.
+A bad argument to a domain type or kernel raises ``ValueError`` with a
+message that says which rule it broke. A run that cannot finish raises a
+RouteBayesError, which the CLI maps to an exit code without string matching:
+InfeasibleConstraints exits 2, IoError exits 3, every other one exits 1.
+``at`` is the one place that turns the first kind into the second, naming
+the scenario field or record the bad value came from.
 """
 
 
@@ -9,66 +13,12 @@ class RouteBayesError(Exception):
     """Base class for all toolkit errors."""
 
 
-class EmptyVector(RouteBayesError):
-    """A probability vector was empty."""
-
-
-class NegativeEntry(RouteBayesError):
-    """A vector entry that must be nonnegative was negative."""
-
-    def __init__(self, index: int, value: float):
-        super().__init__(f"entry {value!r} at index {index} is negative")
-        self.index = index
-        self.value = value
-
-
-class SumOutOfTolerance(RouteBayesError):
-    """Vector entries do not sum to 1 within the accepted tolerance."""
-
-    def __init__(self, total: float, tolerance: float):
-        super().__init__(f"entries sum to {total!r}, outside 1 +/- {tolerance!r}")
-        self.total = total
-        self.tolerance = tolerance
-
-
-class LengthMismatch(RouteBayesError):
-    """Vectors that must align per hypothesis have different lengths."""
-
-
-class ZeroEvidence(RouteBayesError):
-    """Total probability is zero, so posterior attribution is undefined."""
-
-
 class InfeasibleConstraints(RouteBayesError):
     """Box constraints leave no feasible point on the weight simplex."""
 
 
-class InvalidLoadFactor(RouteBayesError):
-    """Target load factor outside (0, 1]."""
-
-
-class NonpositiveUtilization(RouteBayesError):
-    """Aircraft utilization must be positive."""
-
-
-class RangeInfeasible(RouteBayesError):
-    """Route distance exceeds the aircraft's range."""
-
-
-class DegenerateAnchors(RouteBayesError):
-    """Scoring anchors with worst == best cannot be rescaled."""
-
-
-class UnknownFleet(RouteBayesError):
-    """A route candidate references a fleet absent from availability."""
-
-
 class PlanTooLarge(RouteBayesError):
     """A fleet's exact planning table would exceed the planner's cell limit."""
-
-
-class InvalidPolicy(RouteBayesError):
-    """Revenue-management policy is inconsistent with the leg problem."""
 
 
 class ParseError(RouteBayesError):
@@ -101,3 +51,11 @@ class DanglingReference(ValidationError):
 
 class IoError(RouteBayesError):
     """Reading or writing a file failed."""
+
+
+def at(path: str, call, /, *args, **kwargs):
+    """``call(*args, **kwargs)``; a ValueError or ArithmeticError it raises becomes a ValidationError at ``path``."""
+    try:
+        return call(*args, **kwargs)
+    except (ValueError, ArithmeticError) as exc:
+        raise ValidationError(path, str(exc)) from exc

@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bayes import SIMPLEX_TOLERANCE, LikelihoodVector, WeightVector, total_probability, validate_simplex
-from .errors import EmptyVector, InfeasibleConstraints, LengthMismatch
+from .bayes import LikelihoodVector, WeightVector, total_probability, validate_simplex
+from .errors import InfeasibleConstraints
 
 AT_LOWER = "at_lower"
 AT_UPPER = "at_upper"
@@ -38,11 +38,9 @@ class BoxConstraints:
         object.__setattr__(self, "lower", tuple(float(v) for v in self.lower))
         object.__setattr__(self, "upper", tuple(float(v) for v in self.upper))
         if len(self.lower) != len(self.upper):
-            raise LengthMismatch(
-                f"{len(self.lower)} lower bounds vs {len(self.upper)} upper bounds"
-            )
+            raise ValueError(f"{len(self.lower)} lower bounds vs {len(self.upper)} upper bounds")
         if not self.lower:
-            raise EmptyVector("constraints need at least one hypothesis")
+            raise ValueError("constraints need at least one hypothesis")
         for i, (lo, hi) in enumerate(zip(self.lower, self.upper)):
             if not (0.0 <= lo <= hi <= 1.0):
                 raise InfeasibleConstraints(
@@ -85,7 +83,7 @@ def optimize_weights(
     """
     n = len(likelihoods)
     if len(constraints) != n:
-        raise LengthMismatch(f"{len(constraints)} bounds vs {n} likelihoods")
+        raise ValueError(f"{len(constraints)} bounds vs {n} likelihoods")
     w = list(constraints.lower)
     remaining = 1.0 - math.fsum(w)
     order = sorted(range(n), key=lambda i: (-likelihoods[i], i))
@@ -103,7 +101,7 @@ def optimize_weights(
         raise InfeasibleConstraints(
             f"upper bounds absorb only {1.0 - remaining!r} of the unit mass"
         )
-    weights = validate_simplex(w, SIMPLEX_TOLERANCE)
+    weights = validate_simplex(w)
     objective = total_probability(weights, likelihoods)
     flags = []
     for wi, lo, hi in zip(weights.values, constraints.lower, constraints.upper):

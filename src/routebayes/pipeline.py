@@ -22,9 +22,9 @@ import numpy as np
 from . import __version__
 from .bayes import Evaluation, LikelihoodVector, WeightVector, posterior, total_probability
 from .economics import FleetRequirement, FleetType, Route, component_likelihoods, fleet_requirement, range_feasible, route_profit
-from .errors import RouteBayesError, ValidationError
+from .errors import RouteBayesError, ValidationError, at
 from .optimizer import BoxConstraints, OptimizationResult, optimize_weights
-from .planner import NetworkPlan, RouteCandidate, score_candidate, select_routes
+from .planner import NetworkPlan, RouteCandidate, select_routes
 from .report import Report
 from .rm import MAX_TRIALS, RMPolicy, expected_revenue, fcfs_baseline, littlewood_protection, overbooking_limit, simulate_leg
 from .scenario import Scenario, round12
@@ -66,18 +66,15 @@ def _stage_context(name: str):
 
 def _each(section: str, records, work, figures) -> list:
     """``work(index, record)`` per record; errors, numpy overflow and non-finite ``figures(result)`` name the record."""
-    results = []
+    def checked(index, record):
+        result = work(index, record)
+        for name, value in figures(result).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} is not finite: {value!r}")
+        return result
+
     with np.errstate(over="raise", invalid="raise"):
-        for index, record in enumerate(records):
-            try:
-                result = work(index, record)
-                for name, value in figures(result).items():
-                    if isinstance(value, float) and not math.isfinite(value):
-                        raise ValueError(f"{name} is not finite: {value!r}")
-            except (ValueError, ArithmeticError) as exc:
-                raise ValidationError(f"{section}[{record.id}]", str(exc)) from exc
-            results.append(result)
-    return results
+        return [at(f"{section}[{record.id}]", checked, index, record) for index, record in enumerate(records)]
 
 
 def _assign_fleet(scenario: Scenario, route: Route) -> tuple[FleetType, FleetRequirement, float]:
@@ -279,11 +276,7 @@ def run_pipeline(
     plan = None
     if "plan" in requested:
         with _stage_context("plan"):
-            candidates = build_candidates(rows, plan_weights)
-            # every subset sum, the planner's table included, stays within the positive total
-            if not math.isfinite(positive := sum(max(score_candidate(c), 0.0) for c in candidates)):
-                raise ValidationError("routes", f"the positive scores sum to {positive!r}, past the float range")
-            network = select_routes(candidates, scenario.availability)
+            network = at("routes", select_routes, build_candidates(rows, plan_weights), scenario.availability)
         plan = _plan_section(scenario, network, weights_label)
     rm = None
     if "rm" in requested:

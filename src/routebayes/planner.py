@@ -11,12 +11,13 @@ than exhaust memory. Selection is a pure function of its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .errors import PlanTooLarge, UnknownFleet
+from .errors import PlanTooLarge
 
 # Largest per-fleet DP table (candidates x aircraft levels) a plan may build.
 MAX_PLAN_CELLS = 10**8
@@ -89,7 +90,7 @@ def _check_candidates(candidates: list[RouteCandidate], availability: FleetAvail
             raise ValueError(f"duplicate candidate route_id {c.route_id!r}")
         seen.add(c.route_id)
         if c.fleet_name not in availability:
-            raise UnknownFleet(
+            raise ValueError(
                 f"candidate {c.route_id!r} needs fleet {c.fleet_name!r}, "
                 "which availability does not list"
             )
@@ -137,12 +138,15 @@ def select_routes(
 
     Candidates with nonpositive score are never selected. Each fleet is
     solved exactly on its own; ``total_score`` is the left-to-right sum of
-    the selected scores in route_id order.
+    the selected scores in route_id order. The positive scores must sum to a
+    finite number, so that no subset sum, the DP table's included, overflows.
     """
     if not isinstance(availability, FleetAvailability):
         availability = FleetAvailability(dict(availability))
     _check_candidates(candidates, availability)
     scores = {c.route_id: score_candidate(c) for c in candidates}
+    if not math.isfinite(positive := sum(max(s, 0.0) for s in scores.values())):
+        raise ValueError(f"the positive scores sum to {positive!r}, past the float range")
     by_fleet = {name: [] for name, _ in availability.items()}
     for c in sorted(candidates, key=lambda c: c.route_id):
         if scores[c.route_id] > 0.0 and c.aircraft_needed <= availability.get(c.fleet_name):

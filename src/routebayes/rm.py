@@ -27,8 +27,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidPolicy
-
 TAIL_MASS = 1e-9
 OVERBOOKING_SEARCH_FACTOR = 3
 #: Largest work a leg may ask for: the Poisson support built before truncation,
@@ -142,15 +140,15 @@ class RMPolicy:
 
     def __post_init__(self):
         if self.protection_level < 0:
-            raise InvalidPolicy(f"protection_level must be >= 0, got {self.protection_level!r}")
+            raise ValueError(f"protection_level must be >= 0, got {self.protection_level!r}")
         if self.booking_limit < 0:
-            raise InvalidPolicy(f"booking_limit must be >= 0, got {self.booking_limit!r}")
+            raise ValueError(f"booking_limit must be >= 0, got {self.booking_limit!r}")
 
 
 def _check_policy(problem: LegRMProblem, policy: RMPolicy) -> None:
     bound = OVERBOOKING_SEARCH_FACTOR * problem.capacity
     if not (0 <= policy.protection_level <= problem.capacity <= policy.booking_limit <= bound):
-        raise InvalidPolicy(
+        raise ValueError(
             f"need 0 <= protection ({policy.protection_level}) <= capacity "
             f"({problem.capacity}) <= booking_limit ({policy.booking_limit}) <= {bound}"
         )
@@ -260,8 +258,8 @@ def simulate_leg(
     rejected requests over all requests (0 when the denominator is 0).
     """
     _check_policy(problem, policy)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be >= 1 and <= {MAX_TRIALS}, got {trials!r}")
     rng = np.random.default_rng(seed)
     d_low = _sample_demand(problem.demand_low, rng.random(trials))
     d_high = _sample_demand(problem.demand_high, rng.random(trials))

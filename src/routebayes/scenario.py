@@ -16,9 +16,9 @@ handed to its domain constructor (``Route``, ``FleetType``, ``AnchorPair``,
 ``ScoringAnchors``, ``FleetAvailability``, ``HypothesisSet``,
 ``validate_simplex``, ``BoxConstraints``, ``DemandModel``, ``LegRMProblem``),
 which owns every value range and every default; an optional key that is
-absent is not passed. ``_build`` turns a constructor's error into a
-ValidationError at the record's path, except InfeasibleConstraints, which
-keeps its own exit code.
+absent is not passed. ``errors.at`` turns a constructor's ValueError into a
+ValidationError at the record's path; InfeasibleConstraints passes through
+with its own exit code.
 """
 
 from __future__ import annotations
@@ -32,15 +32,7 @@ from pathlib import Path
 
 from .bayes import DEFAULT_DRIVERS, Hypothesis, HypothesisSet, WeightVector, uniform_weights, validate_simplex
 from .economics import AnchorPair, FleetType, Route, ScoringAnchors, range_feasible
-from .errors import (
-    DanglingReference,
-    InfeasibleConstraints,
-    IoError,
-    ParseError,
-    RouteBayesError,
-    SchemaVersionUnsupported,
-    ValidationError,
-)
+from .errors import DanglingReference, IoError, ParseError, SchemaVersionUnsupported, ValidationError, at
 from .optimizer import BoxConstraints
 from .planner import FleetAvailability
 from .rm import DemandModel, LegRMProblem
@@ -163,16 +155,6 @@ def _read_list(doc: dict, section: str, fields: dict) -> list[tuple[str, dict]]:
     return [(f"{section}[{i}]", _read(entry, f"{section}[{i}]", fields)) for i, entry in enumerate(entries)]
 
 
-def _build(path: str, make, *args, **kwargs):
-    """Call a domain constructor; the value error it raises becomes a ValidationError at ``path``."""
-    try:
-        return make(*args, **kwargs)
-    except InfeasibleConstraints:
-        raise  # the CLI maps it to its own exit code
-    except (ValueError, RouteBayesError) as exc:
-        raise ValidationError(path, str(exc)) from exc
-
-
 def _reject_duplicates(records: list[tuple[str, dict]], key: str, noun: str) -> None:
     seen = set()
     for path, fields in records:
@@ -182,15 +164,15 @@ def _reject_duplicates(records: list[tuple[str, dict]], key: str, noun: str) -> 
 
 
 def _anchor_pair(value, path: str) -> AnchorPair:
-    return _build(path, AnchorPair, **_read(value, path, _ANCHOR_PAIR))
+    return at(path, AnchorPair, **_read(value, path, _ANCHOR_PAIR))
 
 
 def _parse_demand(value, path: str) -> DemandModel:
     kind = _expect_str(_expect_object(value, path).get("kind"), f"{path}.kind")
     if kind == "poisson":
-        return _build(path, DemandModel.poisson, _read(value, path, _POISSON)["mean"])
+        return at(path, DemandModel.poisson, _read(value, path, _POISSON)["mean"])
     if kind == "discrete":
-        return _build(f"{path}.pmf", DemandModel.discrete, _read(value, path, _DISCRETE)["pmf"])
+        return at(f"{path}.pmf", DemandModel.discrete, _read(value, path, _DISCRETE)["pmf"])
     raise ValidationError(f"{path}.kind", f"must be 'poisson' or 'discrete', got {kind!r}")
 
 
@@ -233,7 +215,7 @@ def _parse_hypotheses(doc: dict) -> HypothesisSet:
     if "hypotheses" not in doc:
         return DEFAULT_DRIVERS
     entries = _expect_list(doc["hypotheses"], "hypotheses")
-    return _build("hypotheses", HypothesisSet, tuple(
+    return at("hypotheses", HypothesisSet, tuple(
         Hypothesis(**_read(entry, f"hypotheses[{i}]", _HYPOTHESIS)) for i, entry in enumerate(entries)
     ))
 
@@ -244,7 +226,7 @@ def _parse_weights(doc: dict, n: int) -> WeightVector:
     numbers = _expect_numbers(doc["weights"], "weights")
     if len(numbers) != n:
         raise ValidationError("weights", f"expected {n} entries, got {len(numbers)}")
-    return _build("weights", validate_simplex, numbers)
+    return at("weights", validate_simplex, numbers)
 
 
 def _parse_constraints(doc: dict, n: int) -> BoxConstraints | None:
@@ -255,13 +237,13 @@ def _parse_constraints(doc: dict, n: int) -> BoxConstraints | None:
         raise ValidationError(
             "constraints", f"expected {n} lower and upper bounds, got {len(bounds['lower'])}/{len(bounds['upper'])}"
         )
-    return _build("constraints", BoxConstraints, **bounds)
+    return at("constraints", BoxConstraints, **bounds)
 
 
 def _parse_fleets(doc: dict) -> tuple[FleetType, ...]:
     records = _read_list(doc, "fleets", _FLEET)
     _reject_duplicates(records, "name", "fleet name")
-    return tuple(_build(path, FleetType, **fields) for path, fields in records)
+    return tuple(at(path, FleetType, **fields) for path, fields in records)
 
 
 def _parse_availability(doc: dict, fleets: tuple[FleetType, ...]) -> FleetAvailability:
@@ -270,7 +252,7 @@ def _parse_availability(doc: dict, fleets: tuple[FleetType, ...]) -> FleetAvaila
         if name not in counts:
             raise DanglingReference(f"availability.{name}", "unknown fleet")
         counts[name] = _expect_int(value, f"availability.{name}")
-    return _build("availability", FleetAvailability, counts)
+    return at("availability", FleetAvailability, counts)
 
 
 def _parse_routes(doc: dict, fleets: tuple[FleetType, ...]):
@@ -281,7 +263,7 @@ def _parse_routes(doc: dict, fleets: tuple[FleetType, ...]):
     by_name = {f.name: f for f in fleets}
     for path, fields in records:
         fleet_name = fields.pop("fleet", None)
-        route = _build(path, Route, **fields)
+        route = at(path, Route, **fields)
         if fleet_name is None:
             if not any(range_feasible(route, f) for f in fleets):
                 raise ValidationError(path, "no fleet with sufficient range for this route")
@@ -305,7 +287,7 @@ def _parse_rm_legs(doc: dict) -> tuple[RMLeg, ...]:
     legs = []
     for path, fields in records:
         leg_id = fields.pop("id")
-        legs.append(RMLeg(leg_id, _build(path, LegRMProblem, **fields)))
+        legs.append(RMLeg(leg_id, at(path, LegRMProblem, **fields)))
     return tuple(legs)
 
 
@@ -322,7 +304,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     hypotheses = _parse_hypotheses(doc)
     weights = _parse_weights(doc, len(hypotheses))
     constraints = _parse_constraints(doc, len(hypotheses))
-    anchors = _build("anchors", ScoringAnchors, **_read(doc.get("anchors", {}), "anchors", _ANCHORS))
+    anchors = at("anchors", ScoringAnchors, **_read(doc.get("anchors", {}), "anchors", _ANCHORS))
     target_lf = DEFAULT_TARGET_LOAD_FACTOR
     if "target_load_factor" in doc:
         target_lf = _expect_number(doc["target_load_factor"], "target_load_factor")

@@ -15,13 +15,6 @@ from routebayes.bayes import (
     uniform_weights,
     validate_simplex,
 )
-from routebayes.errors import (
-    EmptyVector,
-    LengthMismatch,
-    NegativeEntry,
-    SumOutOfTolerance,
-    ZeroEvidence,
-)
 
 
 def weight_strategy(n):
@@ -46,17 +39,15 @@ class TestValidateSimplex:
         assert validate_simplex([1.0]).values == (1.0,)
 
     def test_sum_out_of_tolerance(self):
-        with pytest.raises(SumOutOfTolerance) as info:
+        with pytest.raises(ValueError, match=r"sum to 1\.1, outside 1 \+/- 1e-09"):
             validate_simplex([0.5, 0.5, 0.1])
-        assert info.value.total == pytest.approx(1.1)
 
     def test_negative_entry_reports_index(self):
-        with pytest.raises(NegativeEntry) as info:
+        with pytest.raises(ValueError, match=r"-0\.2 at index 1 is negative"):
             validate_simplex([0.7, -0.2, 0.5])
-        assert info.value.index == 1
 
     def test_empty(self):
-        with pytest.raises(EmptyVector):
+        with pytest.raises(ValueError, match="at least one entry"):
             validate_simplex([])
 
     def test_renormalizes_within_tolerance(self):
@@ -83,7 +74,7 @@ class TestTotalProbability:
         assert total == pytest.approx(0.54, abs=1e-12)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ValueError, match="1 weights vs 2 likelihoods"):
             total_probability(WeightVector((1.0,)), LikelihoodVector((0.5, 0.5)))
 
 
@@ -103,7 +94,7 @@ class TestPosterior:
         assert ev.posterior[2] == pytest.approx(1 / 27, abs=1e-12)
 
     def test_zero_evidence(self):
-        with pytest.raises(ZeroEvidence):
+        with pytest.raises(ValueError, match="total probability is zero"):
             posterior(WeightVector((0.5, 0.5)), LikelihoodVector((0.0, 0.0)))
 
     def test_total_is_ordered_sum_of_contributions(self):
@@ -135,7 +126,7 @@ class TestHypothesisSet:
             HypothesisSet((Hypothesis("a"), Hypothesis("a")))
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyVector):
+        with pytest.raises(ValueError, match="needs at least one hypothesis"):
             HypothesisSet(())
 
     def test_default_scheme(self):

@@ -14,12 +14,6 @@ from routebayes.economics import (
     required_frequency,
     route_profit,
 )
-from routebayes.errors import (
-    DegenerateAnchors,
-    InvalidLoadFactor,
-    NonpositiveUtilization,
-    RangeInfeasible,
-)
 
 
 def make_route(**overrides):
@@ -60,9 +54,9 @@ class TestRequiredFrequency:
         assert required_frequency(144, 180, 0.8) == 1
 
     def test_invalid_load_factor(self):
-        with pytest.raises(InvalidLoadFactor):
+        with pytest.raises(ValueError, match="target load factor must be in"):
             required_frequency(100, 180, 0.0)
-        with pytest.raises(InvalidLoadFactor):
+        with pytest.raises(ValueError, match="target load factor must be in"):
             required_frequency(100, 180, 1.2)
 
 
@@ -77,7 +71,7 @@ class TestAircraftRequired:
         assert aircraft_required(30, 5.0, 70.0) == 3
 
     def test_nonpositive_utilization(self):
-        with pytest.raises(NonpositiveUtilization):
+        with pytest.raises(ValueError, match="utilization must be > 0"):
             aircraft_required(10, 5.0, 0.0)
 
 
@@ -103,7 +97,7 @@ class TestRouteProfit:
         assert route_profit(make_route(average_fare=200.0), A320, 10) == pytest.approx(60000.0)
 
     def test_range_infeasible(self):
-        with pytest.raises(RangeInfeasible):
+        with pytest.raises(ValueError, match=r"is 6000\.0 km but"):
             route_profit(make_route(distance_km=6000.0), A320, 1)
 
     def test_carried_capped_by_seats(self):
@@ -148,7 +142,7 @@ class TestComponentLikelihoods:
         assert low_cap[1] > high_cap[1]
 
     def test_degenerate_anchors(self):
-        with pytest.raises(DegenerateAnchors):
+        with pytest.raises(ValueError, match="anchors must differ"):
             AnchorPair(0.5, 0.5)
 
     def test_epsilon_bounds_everything(self):

@@ -5,7 +5,7 @@ import pytest
 
 from _oracles import best_vertex_objective, simplex_vertices
 from routebayes.bayes import LikelihoodVector, total_probability, validate_simplex
-from routebayes.errors import InfeasibleConstraints, LengthMismatch
+from routebayes.errors import InfeasibleConstraints
 from routebayes.optimizer import (
     AT_LOWER,
     AT_UPPER,
@@ -68,7 +68,7 @@ class TestErrors:
             BoxConstraints((0.5, 0.1), (0.4, 0.9))
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ValueError, match="3 bounds vs 2 likelihoods"):
             optimize_weights(LikelihoodVector((0.5, 0.5)), BoxConstraints.full(3))
 
     def test_thirds_bounds_accepted(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import enumerate_best_plan, enumerate_best_plan_per_fleet, rank_by_score
-from routebayes.errors import PlanTooLarge, UnknownFleet
+from routebayes.errors import PlanTooLarge
 from routebayes.planner import (
     FleetAvailability,
     RouteCandidate,
@@ -96,7 +96,7 @@ class TestSelectRoutes:
         assert plan.used == {"f1": 0}
 
     def test_unknown_fleet(self):
-        with pytest.raises(UnknownFleet):
+        with pytest.raises(ValueError, match="which availability does not list"):
             select_routes([cand("a", fleet="ghost")], {"f1": 3})
 
     def test_duplicate_ids_rejected(self):
@@ -227,6 +227,21 @@ class TestEdgeCases:
         candidates = [cand(f"r{i}", fleet="wide", need=need) for i, need in enumerate(needs)]
         with pytest.raises(PlanTooLarge, match="'wide'"):
             select_routes(candidates, {"wide": 10**12})
+
+    @pytest.mark.parametrize("extra,available", [
+        ([cand("c", profit=1.0)], 2),  # solved by the table, whose sums would overflow
+        ([], 5),  # taken whole, whose total would be inf
+    ])
+    def test_positive_scores_past_the_float_range_rejected(self, extra, available):
+        candidates = [cand("a", profit=1.7e308), cand("b", profit=1.7e308)] + extra
+        with pytest.raises(ValueError, match="^the positive scores sum to inf, past the float range$"):
+            select_routes(candidates, {"f1": available})
+
+    def test_negative_scores_do_not_count_toward_the_float_range(self):
+        candidates = [cand("a", profit=1.7e308), cand("b", profit=-1.7e308), cand("c", profit=-1.7e308)]
+        plan = select_routes(candidates, {"f1": 3})
+        assert plan.selected == ("a",)
+        assert plan.total_score == 1.7e308
 
 
 class TestLargeInstances:

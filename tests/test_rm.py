@@ -19,7 +19,6 @@ from _oracles import (
     poisson_tail,
     show_up_sweep_loop,
 )
-from routebayes.errors import InvalidPolicy
 from routebayes.rm import (
     MAX_RM_CELLS,
     MAX_TRIALS,
@@ -184,19 +183,19 @@ class TestExpectedRevenue:
             )
 
     def test_invalid_policy(self):
-        with pytest.raises(InvalidPolicy):
+        with pytest.raises(ValueError, match=r"need 0 <= protection \(11\) <= capacity"):
             expected_revenue(leg(capacity=10), RMPolicy(11, 12))
-        with pytest.raises(InvalidPolicy):
+        with pytest.raises(ValueError, match=r"<= booking_limit \(9\)"):
             expected_revenue(leg(capacity=10), RMPolicy(0, 9))
 
     def test_booking_limit_bounded_at_search_bound(self):
         problem = leg(capacity=10)
         bound = OVERBOOKING_SEARCH_FACTOR * problem.capacity
         for kernel in (expected_revenue, lambda p, policy: simulate_leg(p, policy, 10, 0)):
-            with pytest.raises(InvalidPolicy, match=r"<= 30$"):
+            with pytest.raises(ValueError, match=r"<= 30$"):
                 kernel(problem, RMPolicy(2, bound + 1))
             kernel(problem, RMPolicy(2, bound))
-        with pytest.raises(InvalidPolicy):
+        with pytest.raises(ValueError, match=r"booking_limit \(2000000\) <= 30$"):
             expected_revenue(problem, RMPolicy(0, 2_000_000))
 
     def test_protection_optimality_small_scan(self):
@@ -398,6 +397,10 @@ class TestSimulateLeg:
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             simulate_leg(leg(), RMPolicy(0, 10), 0, 1)
+
+    def test_trials_over_the_bound_rejected_before_sampling(self):
+        with pytest.raises(ValueError, match=f"^trials must be >= 1 and <= {MAX_TRIALS}, got {MAX_TRIALS + 1}$"):
+            simulate_leg(leg(), RMPolicy(0, 10), MAX_TRIALS + 1, 1)
 
 
 class TestUplift:
