@@ -1,7 +1,7 @@
 """Command line interface.
 
-Subcommands: evaluate, optimize, plan, rm, validate. Exit codes: 0 success,
-1 validation, parse or stage error, 2 infeasible constraints, 3 I/O error.
+Subcommands: evaluate, optimize, plan, rm, validate. Exit codes: 0 success, 1 validation,
+parse or stage error, 2 infeasible constraints or a usage error (argparse), 3 I/O error.
 """
 
 from __future__ import annotations

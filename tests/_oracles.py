@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths they verify: vertex enumeration for
 the weight optimizer, exhaustive subset enumeration (whole or per fleet) for
-the network planner, and comb-based joint enumeration for leg revenue.
+the network planner, comb-based joint enumeration for leg revenue, and one
+binary search per uniform for demand draws.
 """
 
 import math
@@ -208,3 +209,10 @@ def grid_expected_revenue(problem, policy):
     fares = problem.show_up_prob * (acc_low * problem.fare_low + acc_high * problem.fare_high)
     penalty = problem.denied_cost * over[acc_low + acc_high]
     return math.fsum((w_low * w_high * (fares - penalty)).ravel().tolist())
+
+
+def sample_demand_binary_search(model, uniforms):
+    """Inverse-CDF demand draws by one binary search per uniform, clamped to the truncation."""
+    cum = np.cumsum(np.asarray(model.pmf))
+    draws = np.searchsorted(cum, uniforms, side="right")
+    return np.minimum(draws, model.truncation).astype(np.int64)

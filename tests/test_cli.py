@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,6 +42,17 @@ class TestExitCodes:
         }
         assert main(["validate", "--scenario", write(tmp_path, doc)]) == 2
         assert "infeasible" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["rm", "--scenario", DEMO, "--trials", "abc"], []])
+    def test_usage_error_is_two(self, argv):
+        # argparse exits 2 on a bad command line, the code infeasible constraints also use
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        result = subprocess.run([sys.executable, "-m", "routebayes.cli", *argv],
+                                capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("usage: routebayes ")
+        assert "Traceback" not in result.stderr
 
     def test_missing_file_is_three(self, tmp_path, capsys):
         assert main(["validate", "--scenario", str(tmp_path / "missing.json")]) == 3

@@ -17,6 +17,7 @@ from _oracles import (
     pmf_mean,
     pmf_survival,
     poisson_tail,
+    sample_demand_binary_search,
     show_up_sweep_loop,
 )
 from routebayes.rm import (
@@ -29,6 +30,7 @@ from routebayes.rm import (
     expected_revenue,
     fcfs_baseline,
     littlewood_protection,
+    _sample_demand,
     _show_up_sweep,
     _tails,
     overbooking_limit,
@@ -401,6 +403,80 @@ class TestSimulateLeg:
     def test_trials_over_the_bound_rejected_before_sampling(self):
         with pytest.raises(ValueError, match=f"^trials must be >= 1 and <= {MAX_TRIALS}, got {MAX_TRIALS + 1}$"):
             simulate_leg(leg(), RMPolicy(0, 10), MAX_TRIALS + 1, 1)
+
+
+def _scaled(weights, scale):
+    """A discrete pmf from integer weights (zeros kept), its sum moved off 1 by ``scale``."""
+    total = sum(weights)
+    return DemandModel.discrete([w / total * scale for w in weights])
+
+
+SAMPLED = st.one_of(
+    st.floats(0.0, 5000.0).map(DemandModel.poisson),
+    st.builds(_scaled, st.lists(st.integers(0, 4), min_size=1, max_size=60).filter(any), st.just(1.0)),
+    st.integers(0, 300).map(DemandModel.deterministic),
+    # cumsum ending just below 1 (a truncated tail) or just above it (rounding)
+    st.builds(_scaled, st.lists(st.integers(0, 9), min_size=1, max_size=60).filter(any),
+              st.floats(1.0 - 9e-10, 1.0 + 9e-10)),
+)
+
+
+def _edge_uniforms(model):
+    """0, the largest double below 1, every j / 2**b for 2**b over 8x the support, and every CDF
+    value with its two neighbouring doubles; those inside [0, 1), where uniforms live."""
+    cum = np.cumsum(np.asarray(model.pmf))
+    grid = 2 ** (8 * cum.size).bit_length()  # a multiple of every guide-table size the sampler picks
+    pool = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], np.arange(grid) / grid,
+                           cum, np.nextafter(cum, -np.inf), np.nextafter(cum, np.inf)])
+    return pool[(pool >= 0.0) & (pool < 1.0)]
+
+
+class TestSampleDemand:
+    """The guide-table sampler returns exactly the binary-search index, array for array."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(SAMPLED, st.one_of(st.none(), st.lists(st.integers(0, 2**40), min_size=1, max_size=64)),
+           st.integers(0, 2**32 - 1))
+    @example(DemandModel.poisson(0.0), None, 0)
+    @example(DemandModel.poisson(5000.0), None, 1)
+    @example(DemandModel.deterministic(0), [0, 1, 2], 2)
+    @example(DemandModel.discrete([0.25, 0.0, 0.25, 0.5, 0.0]), None, 3)  # CDF steps on bucket edges
+    @example(DemandModel.discrete([0.5, 0.5 - 9e-10]), None, 4)
+    @example(DemandModel.discrete([0.0, 0.5 + 9e-10, 0.5]), [5, 9], 5)
+    def test_matches_binary_search(self, model, picks, seed):
+        pool = np.concatenate([_edge_uniforms(model), np.random.default_rng(seed).random(1000)])
+        # all of the pool, or a few of its values, so the table is also sized by a small trial count
+        uniforms = pool if picks is None else pool[np.array(picks) % pool.size]
+        got = _sample_demand(model, uniforms)
+        want = sample_demand_binary_search(model, uniforms)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+RM_LEGS = [
+    pytest.param(rm_leg, id=f"{path.parent.name}/{path.stem}/{rm_leg.id}")
+    for folder in ("tests/data/corpus", "tests/data/regress", "tests/data/golden/inputs", "scenarios")
+    for path in sorted((ROOT / folder).glob("*.json"))
+    for rm_leg in load_scenario(path).rm_legs
+]
+
+
+def _simulations(problem, policy):
+    """Summaries at 1, 37 and 10,000 trials and two seeds. The overflow_rm_fares leg's revenue
+    overflows by design (the pipeline rejects it), so its NaN standard error is compared as text."""
+    runs = [(trials, seed) for trials in (1, 37, 10_000) for seed in (0, 7)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        summaries = [simulate_leg(problem, policy, trials, seed) for trials, seed in runs]
+    return [repr(summary) if any(map(math.isnan, vars(summary).values())) else summary for summary in summaries]
+
+
+@pytest.mark.parametrize("rm_leg", RM_LEGS)
+def test_simulation_equals_binary_search_simulation(rm_leg, monkeypatch):
+    problem = rm_leg.problem
+    policy = RMPolicy(littlewood_protection(problem), overbooking_limit(problem))
+    shipped = _simulations(problem, policy)
+    monkeypatch.setattr("routebayes.rm._sample_demand", sample_demand_binary_search)
+    assert _simulations(problem, policy) == shipped
 
 
 class TestUplift:
