@@ -94,57 +94,56 @@ def _check_entries(values: tuple[float, ...]) -> None:
             raise ValueError(f"entry {v!r} at index {i} is negative")
 
 
+def _checked_sum(values: tuple[float, ...]) -> float:
+    total = math.fsum(values)
+    if abs(total - 1.0) > SIMPLEX_TOLERANCE:
+        raise ValueError(f"entries sum to {total!r}, outside 1 +/- {SIMPLEX_TOLERANCE!r}")
+    return total
+
+
 @dataclass(frozen=True)
-class WeightVector:
+class _UnitVector:
+    """Finite entries in [0, 1], at least one; ``noun`` names an entry in errors."""
+
+    values: tuple[float, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        _check_entries(self.values)
+        for i, v in enumerate(self.values):
+            if v > 1:
+                raise ValueError(f"{self.noun} {v!r} at index {i} exceeds 1")
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __iter__(self):
+        return iter(self.values)
+
+    def __getitem__(self, i: int) -> float:
+        return self.values[i]
+
+
+@dataclass(frozen=True)
+class WeightVector(_UnitVector):
     """Prior driver weights: entries in [0, 1], summing to 1 within tolerance.
 
     Build via :func:`validate_simplex` to get exact renormalization of inputs
     that carry serialization round-off.
     """
 
-    values: tuple[float, ...]
+    noun = "weight"
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        _check_entries(self.values)
-        for i, v in enumerate(self.values):
-            if v > 1:
-                raise ValueError(f"weight {v!r} at index {i} exceeds 1")
-        total = math.fsum(self.values)
-        if abs(total - 1.0) > SIMPLEX_TOLERANCE:
-            raise ValueError(f"entries sum to {total!r}, outside 1 +/- {SIMPLEX_TOLERANCE!r}")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, i: int) -> float:
-        return self.values[i]
+        super().__post_init__()
+        _checked_sum(self.values)
 
 
 @dataclass(frozen=True)
-class LikelihoodVector:
+class LikelihoodVector(_UnitVector):
     """Conditional outcome probabilities per driver; no sum constraint."""
 
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        _check_entries(self.values)
-        for i, v in enumerate(self.values):
-            if v > 1:
-                raise ValueError(f"likelihood {v!r} at index {i} exceeds 1")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, i: int) -> float:
-        return self.values[i]
+    noun = "likelihood"
 
 
 @dataclass(frozen=True)
@@ -173,9 +172,7 @@ def validate_simplex(raw: Sequence[float]) -> WeightVector:
     """
     values = tuple(float(v) for v in raw)
     _check_entries(values)
-    total = math.fsum(values)
-    if abs(total - 1.0) > SIMPLEX_TOLERANCE:
-        raise ValueError(f"entries sum to {total!r}, outside 1 +/- {SIMPLEX_TOLERANCE!r}")
+    total = _checked_sum(values)
     return WeightVector(tuple(v / total for v in values))
 
 
@@ -191,6 +188,19 @@ def _check_lengths(weights: WeightVector, likelihoods: LikelihoodVector) -> None
         raise ValueError(f"{len(weights)} weights vs {len(likelihoods)} likelihoods")
 
 
+def weighted(weights, likelihoods) -> list:
+    """The contributions ``weights[i] * likelihoods[i]``; entries may be floats or numpy arrays."""
+    return [w * lk for w, lk in zip(weights, likelihoods)]
+
+
+def left_sum(values):
+    """``((0.0 + values[0]) + values[1]) + ...``, the one order every total is summed in."""
+    total = 0.0
+    for v in values:
+        total = total + v
+    return total
+
+
 def total_probability(weights: WeightVector, likelihoods: LikelihoodVector) -> float:
     """Total probability of the outcome: sum of weight * likelihood per driver.
 
@@ -198,10 +208,7 @@ def total_probability(weights: WeightVector, likelihoods: LikelihoodVector) -> f
     the smallest and largest likelihood.
     """
     _check_lengths(weights, likelihoods)
-    total = 0.0
-    for w, lk in zip(weights.values, likelihoods.values):
-        total += w * lk
-    return total
+    return left_sum(weighted(weights.values, likelihoods.values))
 
 
 def posterior(weights: WeightVector, likelihoods: LikelihoodVector) -> Evaluation:
@@ -212,10 +219,8 @@ def posterior(weights: WeightVector, likelihoods: LikelihoodVector) -> Evaluatio
     undefined there), never a silent uniform fallback.
     """
     _check_lengths(weights, likelihoods)
-    contributions = tuple(w * lk for w, lk in zip(weights.values, likelihoods.values))
-    total = 0.0
-    for c in contributions:
-        total += c
+    contributions = tuple(weighted(weights.values, likelihoods.values))
+    total = left_sum(contributions)
     if total == 0.0:
         raise ValueError("total probability is zero; posterior is undefined")
     post = WeightVector(tuple(c / total for c in contributions))

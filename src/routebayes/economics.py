@@ -4,17 +4,23 @@ Everything is planned on a weekly period. Frequencies and aircraft counts are
 integers (ceiling rule); the profit model is linear in block hours plus a
 fixed cost per flight. KPI-to-likelihood scoring is min-max between
 configurable anchors with epsilon clamping, the stand-in for a data-collection
-model that upstream data pipelines would normally supply. All functions are
-pure over immutable inputs, so routes can be evaluated in parallel with
-order-independent results.
+model that upstream data pipelines would normally supply.
+
+The scalar functions size and score one route; ``evaluate_routes`` scores
+every route at once in float64 columns, through the same operator-only
+helpers, so the two agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
-from .bayes import LikelihoodVector
+import numpy as np
+
+from .bayes import LikelihoodVector, left_sum, posterior, weighted
+from .errors import at
 
 
 @dataclass(frozen=True)
@@ -64,6 +70,8 @@ class FleetType:
             raise ValueError("fleet name must be nonempty")
         if self.seats < 1:
             raise ValueError(f"seats must be >= 1, got {self.seats!r}")
+        if self.seats > 2**53:  # every count up to here is exact in a float64 column
+            raise ValueError(f"seats must be <= 2**53, got {self.seats!r}")
         if self.range_km <= 0:
             raise ValueError(f"range_km must be > 0, got {self.range_km!r}")
         if self.utilization_block_hours_per_week <= 0:
@@ -122,6 +130,30 @@ class ScoringAnchors:
             raise ValueError(f"epsilon must be in (0, 0.5), got {self.epsilon!r}")
 
 
+# Operator-only arithmetic shared by the scalar functions and evaluate_routes:
+# floats and numpy arrays alike go through the same IEEE operations.
+def _flights(demand, seats, target_load_factor):  # before the ceiling
+    return demand / (seats * target_load_factor)
+
+
+def _aircraft(flights, block_hours_per_flight, utilization):  # before the ceiling
+    return flights * block_hours_per_flight / utilization
+
+
+def _load_factor(demand, flights, seats):  # before the cap at 1
+    return demand / (flights * seats)
+
+
+def _profit(route, flights, carried):
+    return carried * route.average_fare - flights * (
+        route.block_hours_per_flight * route.cost_per_block_hour + route.fixed_cost_per_flight)
+
+
+def _scores(route, profit, anchors: ScoringAnchors) -> list:  # (service, capital, cost), before the clamp
+    return [(value - pair.worst) / (pair.best - pair.worst) for value, pair in (
+        (route.service_score, anchors.service), (route.tied_capital, anchors.capital), (profit, anchors.cost))]
+
+
 def required_frequency(demand_pax_per_week: float, seats: int, target_load_factor: float) -> int:
     """Weekly flights needed to carry the demand at the target load factor.
 
@@ -135,7 +167,7 @@ def required_frequency(demand_pax_per_week: float, seats: int, target_load_facto
         raise ValueError(f"demand must be >= 0, got {demand_pax_per_week!r}")
     if demand_pax_per_week == 0:
         return 0
-    return math.ceil(demand_pax_per_week / (seats * target_load_factor))
+    return math.ceil(_flights(demand_pax_per_week, seats, target_load_factor))
 
 
 def aircraft_required(flights_per_week: int, block_hours_per_flight: float, utilization: float) -> int:
@@ -148,7 +180,7 @@ def aircraft_required(flights_per_week: int, block_hours_per_flight: float, util
         raise ValueError(f"block hours must be > 0, got {block_hours_per_flight!r}")
     if flights_per_week == 0:
         return 0
-    return math.ceil(flights_per_week * block_hours_per_flight / utilization)
+    return math.ceil(_aircraft(flights_per_week, block_hours_per_flight, utilization))
 
 
 def range_feasible(route: Route, fleet: FleetType) -> bool:
@@ -167,35 +199,16 @@ def route_profit(route: Route, fleet: FleetType, flights_per_week: int) -> float
     if flights_per_week == 0:
         return 0.0
     if not range_feasible(route, fleet):
-        raise ValueError(
-            f"route {route.id} is {route.distance_km!r} km but {fleet.name} "
-            f"ranges {fleet.range_km!r} km"
-        )
-    carried = min(route.demand_pax_per_week, flights_per_week * fleet.seats)
-    revenue = carried * route.average_fare
-    cost = flights_per_week * (
-        route.block_hours_per_flight * route.cost_per_block_hour
-        + route.fixed_cost_per_flight
-    )
-    return revenue - cost
+        raise ValueError(f"route {route.id} is {route.distance_km!r} km but {fleet.name} ranges {fleet.range_km!r} km")
+    return _profit(route, flights_per_week, min(route.demand_pax_per_week, flights_per_week * fleet.seats))
 
 
 def fleet_requirement(route: Route, fleet: FleetType, target_load_factor: float) -> FleetRequirement:
     """Size the weekly operation of ``route`` with ``fleet``."""
     flights = required_frequency(route.demand_pax_per_week, fleet.seats, target_load_factor)
-    aircraft = aircraft_required(
-        flights, route.block_hours_per_flight, fleet.utilization_block_hours_per_week
-    )
-    if flights == 0:
-        load_factor = 0.0
-    else:
-        load_factor = min(1.0, route.demand_pax_per_week / (flights * fleet.seats))
+    aircraft = aircraft_required(flights, route.block_hours_per_flight, fleet.utilization_block_hours_per_week)
+    load_factor = 0.0 if flights == 0 else min(1.0, _load_factor(route.demand_pax_per_week, flights, fleet.seats))
     return FleetRequirement(flights, aircraft, load_factor)
-
-
-def _anchor_score(value: float, pair: AnchorPair, epsilon: float) -> float:
-    raw = (value - pair.worst) / (pair.best - pair.worst)
-    return min(max(raw, epsilon), 1.0 - epsilon)
 
 
 def component_likelihoods(route: Route, profit: float, anchors: ScoringAnchors) -> LikelihoodVector:
@@ -204,10 +217,81 @@ def component_likelihoods(route: Route, profit: float, anchors: ScoringAnchors) 
     Min-max between the anchors, clamped into [epsilon, 1 - epsilon] so that a
     boundary KPI can never zero out the whole evaluation.
     """
-    return LikelihoodVector(
-        (
-            _anchor_score(route.service_score, anchors.service, anchors.epsilon),
-            _anchor_score(route.tied_capital, anchors.capital, anchors.epsilon),
-            _anchor_score(profit, anchors.cost, anchors.epsilon),
-        )
-    )
+    eps = anchors.epsilon
+    return LikelihoodVector(tuple(min(max(raw, eps), 1.0 - eps) for raw in _scores(route, profit, anchors)))
+
+
+@dataclass(frozen=True)
+class RouteColumns:
+    """Every route's evaluation, in file order: float64 per route, and drivers x routes for the vectors."""
+
+    route_ids: list[str]
+    fleets: list[str]
+    flights: np.ndarray
+    aircraft: np.ndarray
+    load_factor: np.ndarray
+    profit: np.ndarray
+    likelihoods: np.ndarray
+    total_probability: np.ndarray
+    posterior: np.ndarray
+    score: np.ndarray
+
+
+_ROUTE_NUMBERS = ("distance_km", "demand_pax_per_week", "average_fare", "block_hours_per_flight",
+                  "cost_per_block_hour", "fixed_cost_per_flight", "service_score", "tied_capital")
+_FLEET_NUMBERS = ("seats", "range_km", "utilization_block_hours_per_week")
+
+
+def evaluate_routes(scenario) -> RouteColumns:
+    """Every route's fleet choice, sizing, profit, likelihoods and posterior at once.
+
+    A route takes its pinned fleet, else exactly ``min(key=(-profit, name))`` over the fleets in range in
+    scenario order, so a NaN profit neither replaces nor is replaced. The first route in file order that
+    fails raises what the scalar functions raise for it, at ``routes[<id>]``.
+    """
+    routes, fleets, weights, anchors = scenario.routes, scenario.fleets, scenario.weights, scenario.anchors
+    r = SimpleNamespace(**{name: np.array([getattr(x, name) for x in routes], float) for name in _ROUTE_NUMBERS})
+    f = SimpleNamespace(**{name: np.array([getattr(x, name) for x in fleets], float)[:, None] for name in _FLEET_NUMBERS})
+    index = {fleet.name: k for k, fleet in enumerate(fleets)}
+    pins = np.array([index.get(scenario.pinned_fleets.get(route.id), -1) for route in routes], int)
+    candidates = np.where(pins >= 0, np.arange(len(fleets))[:, None] == pins, range_feasible(r, f))
+    demand = r.demand_pax_per_week
+    with np.errstate(all="ignore"):
+        flights = np.ceil(_flights(demand, f.seats, scenario.target_load_factor))
+        aircraft = np.ceil(_aircraft(flights, r.block_hours_per_flight, f.utilization_block_hours_per_week))
+        idle = flights == 0
+        load_factor = np.where(idle, 0.0, np.minimum(1.0, _load_factor(demand, flights, f.seats)))
+        profit = np.where(idle, 0.0, _profit(r, flights, np.minimum(demand, flights * f.seats)))
+        sized = np.isfinite(flights) & np.isfinite(aircraft) & np.isfinite(flights * f.seats) & ((aircraft == 0) == idle)
+        rank = [sorted(index).index(fleet.name) for fleet in fleets]
+        fleet, each = np.full(len(routes), -1), np.arange(len(routes))
+        for k in range(len(fleets)):
+            best = profit[fleet, each]
+            take = (fleet < 0) | (profit[k] > best) | ((profit[k] == best) & (rank[k] < np.take(rank, fleet)))
+            fleet[candidates[k] & take] = k
+        chosen = profit[fleet, each]
+        likelihoods = np.minimum(np.maximum(_scores(r, chosen, anchors), anchors.epsilon), 1.0 - anchors.epsilon)
+        contributions = weighted(weights.values, likelihoods)
+        total = left_sum(contributions)
+        columns = RouteColumns([route.id for route in routes], [fleets[k].name for k in fleet.tolist()],
+                               flights[fleet, each], aircraft[fleet, each], load_factor[fleet, each], chosen,
+                               likelihoods, total, np.divide(contributions, total), total * chosen)
+    failed = (candidates & ~sized).any(0) | ~np.isfinite([*likelihoods, chosen, columns.score]).all(0) | (total == 0)
+    for i in np.flatnonzero(failed)[:1]:
+        at(f"routes[{routes[i].id}]", _fail, scenario, i, [fl for fl, ok in zip(fleets, candidates[:, i]) if ok], columns)
+    return columns
+
+
+def _fail(scenario, i: int, fleets, columns: RouteColumns) -> None:
+    """Raise what the scalar functions raise for route ``i``, in their order."""
+    for fleet in fleets:
+        fleet_requirement(scenario.routes[i], fleet, scenario.target_load_factor)
+    posterior(scenario.weights, LikelihoodVector(columns.likelihoods[:, i].tolist()))
+    check_finite({"profit": columns.profit[i].item(), "score": columns.score[i].item()})
+
+
+def check_finite(figures: dict) -> None:
+    """Raise ValueError naming the first float among ``figures`` that is not finite."""
+    for name, value in figures.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} is not finite: {value!r}")

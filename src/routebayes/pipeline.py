@@ -2,26 +2,28 @@
 
 Stages always execute in that fixed order. Requesting ``plan`` implies the
 evaluate computation (and ``optimize`` needs it too); the report still
-contains only the sections that were requested. When optimize runs, the
-optimized weights feed the plan stage's probability-weighted scores,
-otherwise the scenario's prior weights do. Reports are deterministic for a
-fixed scenario, stage set, trial count, and seed; only the timestamp varies.
-Section builders round each float with ``round12``; ``uplift_pct`` uses unrounded values.
+contains only the sections that were requested. Evaluation scores every
+route at once in float64 columns; an error names the first failing route in
+file order, with the error the scalar economics give for it. When optimize
+runs, the optimized weights feed the plan stage's probability-weighted
+scores, otherwise the scenario's prior weights do. Reports are deterministic
+for a fixed scenario, stage set, trial count, and seed; only the timestamp
+varies. Section builders round each float with ``round12``; ``uplift_pct``
+uses unrounded values.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterable
 
 import numpy as np
 
 from . import __version__
-from .bayes import Evaluation, LikelihoodVector, WeightVector, posterior, total_probability
-from .economics import FleetRequirement, FleetType, Route, component_likelihoods, fleet_requirement, range_feasible, route_profit
+from .bayes import LikelihoodVector, WeightVector, left_sum, weighted
+from .economics import RouteColumns, check_finite, evaluate_routes
 from .errors import RouteBayesError, ValidationError, at
 from .optimizer import BoxConstraints, OptimizationResult, optimize_weights
 from .planner import NetworkPlan, RouteCandidate, select_routes
@@ -31,19 +33,6 @@ from .scenario import Scenario, round12
 
 STAGES = ("evaluate", "optimize", "plan", "rm")
 DEFAULT_TRIALS = 10_000
-
-
-@dataclass(frozen=True)
-class RouteEvaluation:
-    """Everything the pipeline derives for one route."""
-
-    route: Route
-    fleet: FleetType
-    requirement: FleetRequirement
-    profit: float
-    likelihoods: LikelihoodVector
-    evaluation: Evaluation
-    score: float
 
 
 def _normalize_stages(stages: Iterable[str]) -> tuple[str, ...]:
@@ -64,86 +53,24 @@ def _stage_context(name: str):
         raise
 
 
-def _each(section: str, records, work, figures) -> list:
-    """``work(index, record)`` per record; errors, numpy overflow and non-finite ``figures(result)`` name the record."""
-    def checked(index, record):
-        result = work(index, record)
-        for name, value in figures(result).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{name} is not finite: {value!r}")
-        return result
-
-    with np.errstate(over="raise", invalid="raise"):
-        return [at(f"{section}[{record.id}]", checked, index, record) for index, record in enumerate(records)]
-
-
-def _assign_fleet(scenario: Scenario, route: Route) -> tuple[FleetType, FleetRequirement, float]:
-    """The pinned fleet, else the most profitable one in range (ties by name), sized."""
-    pinned = scenario.pinned_fleets.get(route.id)
-    if pinned is not None:
-        fleets = [scenario.fleet_by_name(pinned)]
-    else:
-        fleets = [f for f in scenario.fleets if range_feasible(route, f)]
-    options = []
-    for fleet in fleets:
-        req = fleet_requirement(route, fleet, scenario.target_load_factor)
-        options.append((fleet, req, route_profit(route, fleet, req.flights_per_week)))
-    return min(options, key=lambda option: (-option[2], option[0].name))
-
-
-def _evaluate_route(scenario: Scenario, route: Route) -> RouteEvaluation:
-    fleet, req, profit = _assign_fleet(scenario, route)
-    likelihoods = component_likelihoods(route, profit, scenario.anchors)
-    ev = posterior(scenario.weights, likelihoods)
-    return RouteEvaluation(
-        route=route,
-        fleet=fleet,
-        requirement=req,
-        profit=profit,
-        likelihoods=likelihoods,
-        evaluation=ev,
-        score=ev.total_probability * profit,
-    )
-
-
-def evaluate_routes(scenario: Scenario) -> list[RouteEvaluation]:
-    """Assign fleets, size the operation, and score every route in order."""
-    return _each("routes", scenario.routes, lambda _, route: _evaluate_route(scenario, route), vars)
-
-
-def mean_likelihoods(rows: list[RouteEvaluation]) -> LikelihoodVector:
+def mean_likelihoods(rows: RouteColumns) -> LikelihoodVector:
     """Per-driver mean of the route likelihood vectors.
 
     The total probability is linear in the weights, so optimizing against the
     mean vector maximizes the network-average total probability.
     """
-    if not rows:
+    n = len(rows.route_ids)
+    if not n:
         raise ValidationError("routes", "optimization requires at least one route")
-    n = len(rows[0].likelihoods)
-    means = tuple(
-        math.fsum(row.likelihoods[i] for row in rows) / len(rows) for i in range(n)
-    )
-    return LikelihoodVector(means)
+    return LikelihoodVector(tuple(math.fsum(row) / n for row in rows.likelihoods.tolist()))
 
 
-def _optimize(scenario: Scenario, rows: list[RouteEvaluation]):
-    likelihoods = mean_likelihoods(rows)
-    constraints = scenario.constraints
-    if constraints is None:
-        constraints = BoxConstraints.full(len(scenario.hypotheses))
-    return optimize_weights(likelihoods, constraints), likelihoods
-
-
-def build_candidates(rows: list[RouteEvaluation], weights: WeightVector) -> list[RouteCandidate]:
+def build_candidates(rows: RouteColumns, weights: WeightVector) -> list[RouteCandidate]:
+    probabilities = left_sum(weighted(weights.values, rows.likelihoods))
     return [
-        RouteCandidate(
-            route_id=row.route.id,
-            fleet_name=row.fleet.name,
-            profit_per_week=row.profit,
-            total_probability=total_probability(weights, row.likelihoods),
-            aircraft_needed=row.requirement.aircraft_count,
-        )
-        for row in rows
+        RouteCandidate(route_id, fleet, profit, probability, int(aircraft))
+        for route_id, fleet, profit, probability, aircraft in zip(
+            rows.route_ids, rows.fleets, rows.profit.tolist(), probabilities.tolist(), rows.aircraft.tolist())
     ]
 
 
@@ -152,32 +79,32 @@ def _leg_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([base_seed, index]).generate_state(1, np.uint64)[0])
 
 
-def _top_driver(ids: tuple[str, ...], evaluation: Evaluation) -> str:
-    """Id of the driver with the largest posterior share, the first one on ties."""
-    shares = evaluation.posterior.values
-    return ids[shares.index(max(shares))]
-
-
-def _evaluation_section(scenario: Scenario, rows: list[RouteEvaluation]) -> dict:
+def _evaluation_section(scenario: Scenario, rows: RouteColumns) -> dict:
+    ids = scenario.hypotheses.ids
+    columns = zip(rows.route_ids, rows.fleets, rows.flights.tolist(), rows.aircraft.tolist(),
+                  rows.load_factor.tolist(), rows.profit.tolist(), rows.likelihoods.T.tolist(),
+                  rows.total_probability.tolist(), rows.posterior.T.tolist(),
+                  rows.posterior.argmax(0).tolist(), rows.score.tolist())  # argmax: the first driver on ties
     return {
-        "hypotheses": list(scenario.hypotheses.ids),
+        "hypotheses": list(ids),
         "weights": list(map(round12, scenario.weights.values)),
         "target_load_factor": round12(scenario.target_load_factor),
         "routes": [
             {
-                "route_id": row.route.id,
-                "fleet": row.fleet.name,
-                "flights_per_week": row.requirement.flights_per_week,
-                "aircraft": row.requirement.aircraft_count,
-                "achieved_load_factor": round12(row.requirement.achieved_load_factor),
-                "profit": round12(row.profit),
-                "likelihoods": list(map(round12, row.likelihoods.values)),
-                "total_probability": round12(row.evaluation.total_probability),
-                "posterior": list(map(round12, row.evaluation.posterior.values)),
-                "top_driver": _top_driver(scenario.hypotheses.ids, row.evaluation),
-                "score": round12(row.score),
+                "route_id": route_id,
+                "fleet": fleet,
+                "flights_per_week": int(flights),
+                "aircraft": int(aircraft),
+                "achieved_load_factor": round12(load_factor),
+                "profit": round12(profit),
+                "likelihoods": list(map(round12, likelihoods)),
+                "total_probability": round12(total),
+                "posterior": list(map(round12, shares)),
+                "top_driver": ids[top],
+                "score": round12(score),
             }
-            for row in rows
+            for (route_id, fleet, flights, aircraft, load_factor, profit, likelihoods, total, shares, top,
+                 score) in columns
         ],
     }
 
@@ -215,7 +142,7 @@ def _rm_leg(leg, trials: int, seed: int) -> dict:
     fcfs = fcfs_baseline(problem)
     uplift = round12(100.0 * (expected - fcfs) / fcfs) if fcfs != 0.0 else None
     summary = simulate_leg(problem, policy, trials, seed)
-    return {
+    row = {
         "leg_id": leg.id,
         "protection_level": protection,
         "booking_limit": limit,
@@ -230,11 +157,14 @@ def _rm_leg(leg, trials: int, seed: int) -> dict:
             "mean_revenue_se": round12(summary.mean_revenue_se),
         },
     }
+    check_finite(row | row["simulation"])
+    return row
 
 
 def _rm_section(scenario: Scenario, trials: int, seed: int) -> dict:
-    legs = _each("rm_legs", scenario.rm_legs, lambda index, leg: _rm_leg(leg, trials, _leg_seed(seed, index)),
-                 lambda leg: leg | leg["simulation"])
+    """One row per leg; an error, a numpy overflow or a non-finite figure names the leg."""
+    with np.errstate(over="raise", invalid="raise"):
+        legs = [at(f"rm_legs[{leg.id}]", _rm_leg, leg, trials, _leg_seed(seed, i)) for i, leg in enumerate(scenario.rm_legs)]
     return {"trials": trials, "seed": seed, "legs": legs}
 
 
@@ -258,9 +188,8 @@ def run_pipeline(
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    needs_rows = any(s in requested for s in ("evaluate", "optimize", "plan"))
-    rows = []
-    if needs_rows:
+    rows = None
+    if any(s in requested for s in ("evaluate", "optimize", "plan")):
         with _stage_context("evaluate"):
             rows = evaluate_routes(scenario)
     evaluation = _evaluation_section(scenario, rows) if "evaluate" in requested else None
@@ -269,7 +198,8 @@ def run_pipeline(
     weights_label = "prior"
     if "optimize" in requested:
         with _stage_context("optimize"):
-            result, coeffs = _optimize(scenario, rows)
+            coeffs = mean_likelihoods(rows)
+            result = optimize_weights(coeffs, scenario.constraints or BoxConstraints.full(len(scenario.hypotheses)))
         optimization = _optimization_section(scenario, result, coeffs)
         plan_weights = result.weights
         weights_label = "optimized"

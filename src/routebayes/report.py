@@ -88,9 +88,7 @@ def _csv_text(header, rows) -> str:
 
 def _csv_sections(report: Report) -> dict[str, str]:
     sections: dict[str, str] = {}
-    sections["meta"] = _csv_text(
-        ("key", "value"), [(k, v) for k, v in report.meta.items()]
-    )
+    sections["meta"] = _csv_text(("key", "value"), report.meta.items())
     if report.evaluation is not None:
         ids = report.evaluation["hypotheses"]
         header = list(ROUTE_CSV_BASE) + _posterior_columns(ids) + ["score"]
@@ -250,10 +248,7 @@ def emit_report(report: Report, format: str = "json", destination=None) -> None:
     else:
         sections = _csv_sections(report)
         if destination is None:
-            chunks = []
-            for name, body in sections.items():
-                chunks.append(f"# section: {name}\n{body}")
-            sys.stdout.write("\n".join(chunks))
+            sys.stdout.write("\n".join(f"# section: {name}\n{body}" for name, body in sections.items()))
             return
         for name, path in _csv_destination_paths(destination, sections).items():
             atomic_write_text(path, sections[name])

@@ -86,6 +86,8 @@ class DemandModel:
         """Point mass at ``value``."""
         if value < 0:
             raise ValueError(f"demand must be >= 0, got {value!r}")
+        if value + 1 > MAX_RM_CELLS:
+            raise ValueError(f"demand {value!r} needs {value + 1} support points, over the limit of {MAX_RM_CELLS}")
         return cls.discrete([0.0] * value + [1.0])
 
     @property

@@ -80,12 +80,6 @@ class Scenario:
     seed: int
     source: dict = field(repr=False)
 
-    def fleet_by_name(self, name: str) -> FleetType:
-        for fleet in self.fleets:
-            if fleet.name == name:
-                return fleet
-        raise KeyError(name)
-
 
 def _expect_object(value, path: str) -> dict:
     if not isinstance(value, dict):

@@ -2,14 +2,18 @@
 
 These deliberately avoid the code paths they verify: vertex enumeration for
 the weight optimizer, exhaustive subset enumeration (whole or per fleet) for
-the network planner, comb-based joint enumeration for leg revenue, and one
-binary search per uniform for demand draws.
+the network planner, comb-based joint enumeration for leg revenue, one
+binary search per uniform for demand draws, and one route at a time in
+Python floats and ints for the route evaluation.
 """
 
 import math
 from itertools import product
 
 import numpy as np
+from routebayes.bayes import LikelihoodVector, WeightVector
+from routebayes.economics import FleetRequirement
+from routebayes.errors import at
 from routebayes.rm import _check_policy, _show_up_sweep
 
 
@@ -216,3 +220,72 @@ def sample_demand_binary_search(model, uniforms):
     cum = np.cumsum(np.asarray(model.pmf))
     draws = np.searchsorted(cum, uniforms, side="right")
     return np.minimum(draws, model.truncation).astype(np.int64)
+
+
+def evaluate_route_by_route(scenario):
+    """Every route's evaluation figures, one route at a time in Python scalars.
+
+    Each route takes its pinned fleet, else ``min(key=(-profit, name))`` over the
+    fleets in range in scenario order. The first failing route raises a
+    ValidationError at ``routes[<id>]``: a ceiling of a non-finite number, a fleet
+    requirement out of its rules, a non-finite likelihood, a zero total
+    probability, then a non-finite profit or score.
+    """
+    return [at(f"routes[{route.id}]", _route_figures, scenario, route) for route in scenario.routes]
+
+
+def sized_route(route, fleet, target_load_factor):
+    """``(FleetRequirement, weekly profit)`` of flying ``route`` with ``fleet``."""
+    demand = route.demand_pax_per_week
+    flights = 0 if demand == 0 else math.ceil(demand / (fleet.seats * target_load_factor))
+    if flights == 0:
+        return FleetRequirement(0, 0, 0.0), 0.0
+    aircraft = math.ceil(flights * route.block_hours_per_flight / fleet.utilization_block_hours_per_week)
+    requirement = FleetRequirement(flights, aircraft, min(1.0, demand / (flights * fleet.seats)))
+    carried = min(demand, flights * fleet.seats)
+    cost = flights * (route.block_hours_per_flight * route.cost_per_block_hour + route.fixed_cost_per_flight)
+    return requirement, carried * route.average_fare - cost
+
+
+def route_likelihoods(route, profit, anchors):
+    """The clamped min-max scores of (service, capital, cost)."""
+    return LikelihoodVector(tuple(
+        min(max((value - pair.worst) / (pair.best - pair.worst), anchors.epsilon), 1.0 - anchors.epsilon)
+        for value, pair in ((route.service_score, anchors.service), (route.tied_capital, anchors.capital),
+                            (profit, anchors.cost))
+    ))
+
+
+def _route_figures(scenario, route):
+    pinned = scenario.pinned_fleets.get(route.id)
+    options = [
+        (fleet, *sized_route(route, fleet, scenario.target_load_factor))
+        for fleet in scenario.fleets
+        if (fleet.name == pinned if pinned is not None else route.distance_km <= fleet.range_km)
+    ]
+    fleet, requirement, profit = min(options, key=lambda option: (-option[2], option[0].name))
+    likelihoods = route_likelihoods(route, profit, scenario.anchors)
+    contributions = tuple(w * lk for w, lk in zip(scenario.weights.values, likelihoods.values))
+    total = 0.0
+    for c in contributions:
+        total += c
+    if total == 0.0:
+        raise ValueError("total probability is zero; posterior is undefined")
+    posterior = WeightVector(tuple(c / total for c in contributions)).values
+    score = total * profit
+    for name, value in (("profit", profit), ("score", score)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} is not finite: {value!r}")
+    return {
+        "route_id": route.id,
+        "fleet": fleet.name,
+        "flights_per_week": requirement.flights_per_week,
+        "aircraft": requirement.aircraft_count,
+        "achieved_load_factor": requirement.achieved_load_factor,
+        "profit": profit,
+        "likelihoods": list(likelihoods.values),
+        "total_probability": total,
+        "posterior": list(posterior),
+        "top_driver": scenario.hypotheses.ids[posterior.index(max(posterior))],
+        "score": score,
+    }

@@ -75,6 +75,13 @@ class TestAircraftRequired:
             aircraft_required(10, 5.0, 0.0)
 
 
+class TestFleetType:
+    def test_seats_bounded_where_float64_counts_are_exact(self):
+        assert FleetType("f", 2**53, 1000.0, 60.0).seats == 2**53
+        with pytest.raises(ValueError, match=r"seats must be <= 2\*\*53"):
+            FleetType("f", 2**53 + 1, 1000.0, 60.0)
+
+
 class TestRangeFeasible:
     def test_within_range(self):
         assert range_feasible(make_route(distance_km=500.0), FleetType("f", 100, 3000.0, 60.0))

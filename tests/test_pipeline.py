@@ -131,6 +131,29 @@ class TestStages:
         run_pipeline(scenario, ["rm"], trials=200)
         assert [args[0] for args in calls] == [leg.problem.capacity for leg in scenario.rm_legs]
 
+    @pytest.mark.parametrize("names, reason", [
+        (("a_small", "b_big"), "entry at index 2 is not finite: nan"),
+        (("b_big", "a_small"), "profit is not finite: inf"),
+    ])
+    def test_fleet_order_decides_which_overflow_is_reported(self, names, reason):
+        # a_small's profit is inf - inf = nan and b_big's is inf; min(key=(-profit, name))
+        # keeps whichever fleet it meets first, because nan compares false both ways
+        seats = {"a_small": 1, "b_big": 1000}
+        scenario = scenario_from_dict({
+            "schema_version": "1",
+            "fleets": [{"name": name, "seats": seats[name], "range_km": 5000,
+                        "utilization_block_hours_per_week": 60} for name in names],
+            "routes": [{
+                "id": "r", "origin": "A", "destination": "B", "distance_km": 800,
+                "demand_pax_per_week": 1e300, "average_fare": 1e10, "block_hours_per_flight": 2,
+                "cost_per_block_hour": 1e10, "fixed_cost_per_flight": 0,
+                "service_score": 0.5, "tied_capital": 0,
+            }],
+        })
+        with pytest.raises(RouteBayesError) as info:
+            run_pipeline(scenario, ["evaluate"])
+        assert str(info.value) == f"stage evaluate: routes[r]: {reason}"
+
 
 class TestDeterminism:
     def test_repeat_runs_identical_modulo_timestamp(self, demo):

@@ -116,6 +116,11 @@ class TestSizeLimit:
         with pytest.raises(ValueError, match="support points"):
             DemandModel.poisson(float(MAX_RM_CELLS))
 
+    def test_deterministic_support_bound(self):
+        assert DemandModel.deterministic(MAX_RM_CELLS - 1).truncation == MAX_RM_CELLS - 1
+        with pytest.raises(ValueError, match="support points"):
+            DemandModel.deterministic(MAX_RM_CELLS)
+
 
 class TestLittlewood:
     def test_equal_fares_no_protection(self):
