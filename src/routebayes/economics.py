@@ -251,7 +251,8 @@ def evaluate_routes(scenario) -> RouteColumns:
     """
     routes, fleets, weights, anchors = scenario.routes, scenario.fleets, scenario.weights, scenario.anchors
     r = SimpleNamespace(**{name: np.array([getattr(x, name) for x in routes], float) for name in _ROUTE_NUMBERS})
-    f = SimpleNamespace(**{name: np.array([getattr(x, name) for x in fleets], float)[:, None] for name in _FLEET_NUMBERS})
+    f = SimpleNamespace(**{name: np.array([getattr(x, name) for x in fleets], float)[:, None]
+                           for name in _FLEET_NUMBERS})
     index = {fleet.name: k for k, fleet in enumerate(fleets)}
     pins = np.array([index.get(scenario.pinned_fleets.get(route.id), -1) for route in routes], int)
     candidates = np.where(pins >= 0, np.arange(len(fleets))[:, None] == pins, range_feasible(r, f))
@@ -262,7 +263,8 @@ def evaluate_routes(scenario) -> RouteColumns:
         idle = flights == 0
         load_factor = np.where(idle, 0.0, np.minimum(1.0, _load_factor(demand, flights, f.seats)))
         profit = np.where(idle, 0.0, _profit(r, flights, np.minimum(demand, flights * f.seats)))
-        sized = np.isfinite(flights) & np.isfinite(aircraft) & np.isfinite(flights * f.seats) & ((aircraft == 0) == idle)
+        sized = (np.isfinite(flights) & np.isfinite(aircraft) & np.isfinite(flights * f.seats)
+                 & ((aircraft == 0) == idle))
         rank = [sorted(index).index(fleet.name) for fleet in fleets]
         fleet, each = np.full(len(routes), -1), np.arange(len(routes))
         for k in range(len(fleets)):
@@ -278,7 +280,8 @@ def evaluate_routes(scenario) -> RouteColumns:
                                likelihoods, total, np.divide(contributions, total), total * chosen)
     failed = (candidates & ~sized).any(0) | ~np.isfinite([*likelihoods, chosen, columns.score]).all(0) | (total == 0)
     for i in np.flatnonzero(failed)[:1]:
-        at(f"routes[{routes[i].id}]", _fail, scenario, i, [fl for fl, ok in zip(fleets, candidates[:, i]) if ok], columns)
+        at(f"routes[{routes[i].id}]", _fail, scenario, i,
+           [fl for fl, ok in zip(fleets, candidates[:, i]) if ok], columns)
     return columns
 
 

@@ -28,7 +28,8 @@ from .errors import RouteBayesError, ValidationError, at
 from .optimizer import BoxConstraints, OptimizationResult, optimize_weights
 from .planner import NetworkPlan, RouteCandidate, select_routes
 from .report import Report
-from .rm import MAX_TRIALS, RMPolicy, expected_revenue, fcfs_baseline, littlewood_protection, overbooking_limit, simulate_leg
+from .rm import (MAX_TRIALS, RMPolicy, expected_revenue, fcfs_baseline, littlewood_protection, overbooking_limit,
+                 simulate_leg)
 from .scenario import Scenario, round12
 
 STAGES = ("evaluate", "optimize", "plan", "rm")
@@ -164,7 +165,8 @@ def _rm_leg(leg, trials: int, seed: int) -> dict:
 def _rm_section(scenario: Scenario, trials: int, seed: int) -> dict:
     """One row per leg; an error, a numpy overflow or a non-finite figure names the leg."""
     with np.errstate(over="raise", invalid="raise"):
-        legs = [at(f"rm_legs[{leg.id}]", _rm_leg, leg, trials, _leg_seed(seed, i)) for i, leg in enumerate(scenario.rm_legs)]
+        legs = [at(f"rm_legs[{leg.id}]", _rm_leg, leg, trials, _leg_seed(seed, i))
+                for i, leg in enumerate(scenario.rm_legs)]
     return {"trials": trials, "seed": seed, "legs": legs}
 
 

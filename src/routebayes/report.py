@@ -5,27 +5,24 @@ digits (the pipeline rounds each float as it builds a section, so emitting
 and re-parsing is lossless), written by ``scenario.json_text`` with the
 bytes of ``json.dumps(indent=2)``. CSV writes one file per section with
 fixed, documented headers; the table format is for reading at a terminal.
-File output is atomic (temp file plus rename).
+Both are drawn from ``_SECTIONS``, which describes each printed section
+once. File output is atomic (temp file plus rename).
 """
-
-from __future__ import annotations
 
 import csv
 import io
 import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import repeat, starmap
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import IoError
 from .scenario import atomic_write_text, json_text
 
 FORMATS = ("json", "csv", "table")
-
-#: Fixed columns of the routes CSV section; posterior columns follow the
-#: drivers, named post_<last token of the hypothesis id>.
-ROUTE_CSV_BASE = ("route_id", "fleet", "flights_per_week", "aircraft", "profit",
-                  "total_probability")
 
 
 @dataclass(frozen=True)
@@ -61,172 +58,148 @@ def report_to_json(report: Report) -> str:
     return json_text(report.to_dict()) + "\n"
 
 
-def _posterior_columns(hypothesis_ids) -> list[str]:
-    return ["post_" + hid.rsplit("_", 1)[-1] for hid in hypothesis_ids]
-
-
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
+    """A cell as the CSV writes it; also the table's default formatter."""
     if isinstance(value, float):
         return f"{value:.12g}"
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, list):
-        return " ".join(_fmt(v) for v in value)
-    if value is None:
-        return ""
-    return str(value)
+        return " ".join(map(_fmt, value))
+    return "" if value is None else str(value)
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
+_G6 = "{:.6g}".format
+
+#: A column of a printed section: its CSV header and table header (None where that
+#: format leaves the column out), the key that reads its cell from a row (see
+#: ``_values``), and the table's formatter. The CSV formats every cell with ``_fmt``.
+_Column = namedtuple("_Column", "csv table key fmt", defaults=(_fmt,))
+
+#: A printed section: ``source``, the Report field it reads; its CSV name and table
+#: title (None where that format leaves the section out); ``rows``, a function of the
+#: section dict that gives its rows (iterable more than once); ``columns``, its
+#: ``_Column`` tuples or a function of the section dict that gives them; ``before``
+#: and ``after``, functions of the section dict that give the table's lines above and
+#: below the rows; ``table_rows``, the table's rows where they differ from the CSV's;
+#: and ``empty``, the line that stands in for a table with no rows.
+_Section = namedtuple("_Section", "source csv table rows columns before after table_rows empty",
+                      defaults=(lambda section: (), lambda section: (), None, None))
+
+
+def _values(rows, key):
+    """The cells at ``key`` in ``rows``; a pair ``(key, index)`` reads ``row[key][index]``."""
+    if isinstance(key, tuple):
+        outer, inner = key
+        return (row[outer][inner] for row in rows)
+    return map(itemgetter(key), rows)
+
+
+def _route_columns(evaluation) -> tuple:
+    """The routes section's columns. Each driver has a posterior column, named
+    post_<last underscore token of its hypothesis id>, or post_<id> where two ids
+    share that token."""
+    ids = evaluation["hypotheses"]
+    tails = [hid.rpartition("_")[2] for hid in ids]
+    return (
+        ("route_id", "route", "route_id"), ("fleet", "fleet", "fleet"),
+        ("flights_per_week", "flights", "flights_per_week"), ("aircraft", "aircraft", "aircraft"),
+        (None, "load_factor", "achieved_load_factor", "{:.3f}".format), ("profit", "profit", "profit", _G6),
+        ("total_probability", "p_profitable", "total_probability", "{:.4f}".format),
+        *(("post_" + (tail if tails.count(tail) == 1 else hid), None, ("posterior", i))
+          for i, (hid, tail) in enumerate(zip(ids, tails))),
+        (None, "top_driver", "top_driver"), ("score", "score", "score", _G6),
+    )
+
+
+def _plan_rows(plan) -> list[tuple]:
+    """Every scored route in the plan's order, flagged by whether it was selected."""
+    selected = set(plan["selected"])
+    return [(rid, score, rid in selected) for rid, score in plan["per_route_scores"].items()]
+
+
+def _plan_footer(plan) -> list[str]:
+    usage = ", ".join(f"{name}={used}/{plan['availability'][name]}" for name, used in plan["used"].items())
+    return [f"fleet usage: {usage}"] * bool(usage) + [f"total score: {plan['total_score']:.6g}"]
+
+
+_SECTIONS = (
+    _Section("meta", "meta", "meta", dict.items, (("key", None, 0), ("value", None, 1)),
+             before=lambda meta: [f"{key}: {_fmt(value)}" for key, value in meta.items()]),
+    _Section("evaluation", "routes", "evaluation", itemgetter("routes"), _route_columns, before=lambda ev: [
+        "weights: " + ", ".join(f"{hid}={w:.6g}" for hid, w in zip(ev["hypotheses"], ev["weights"]))]),
+    _Section("optimization", "optimization", "optimization",
+             lambda opt: list(zip(opt["hypotheses"], opt["weights"], opt["active_bounds"], opt["sensitivity"],
+                                  repeat(opt["objective"]))),
+             (("hypothesis", "hypothesis", 0), ("weight", "weight", 1, _G6), ("active_bound", "bound", 2),
+              ("sensitivity", "sensitivity", 3, _G6), ("objective", None, 4)),
+             after=lambda opt: [f"objective: {opt['objective']:.6g}"]),
+    _Section("plan", "plan", "plan", _plan_rows,
+             (("route_id", "route", 0), ("score", "score", 1, _G6), ("selected", None, 2)),
+             after=_plan_footer, empty="no routes selected",
+             table_rows=lambda plan: [(rid, plan["per_route_scores"][rid]) for rid in plan["selected"]]),
+    _Section("plan", "fleet_usage", None,
+             lambda plan: [(name, used, plan["availability"][name]) for name, used in plan["used"].items()],
+             (("fleet", None, 0), ("used", None, 1), ("available", None, 2))),
+    _Section("rm", "rm_legs", "revenue management", itemgetter("legs"), (
+        ("leg_id", "leg", "leg_id"), ("protection_level", "protect", "protection_level"),
+        ("booking_limit", "limit", "booking_limit"), ("expected_revenue", "expected", "expected_revenue", _G6),
+        ("fcfs_revenue", "fcfs", "fcfs_revenue", _G6),
+        ("uplift_pct", "uplift_%", "uplift_pct", lambda v: "n/a" if v is None else f"{v:.3f}"),
+        ("sim_mean_revenue", "sim_mean", ("simulation", "mean_revenue"), _G6),
+        ("sim_mean_load_factor", None, ("simulation", "mean_load_factor")),
+        ("sim_denied_rate", None, ("simulation", "denied_rate")),
+        ("sim_spill_rate", None, ("simulation", "spill_rate")),
+    ), after=lambda rm: [f"trials: {rm['trials']}, seed: {rm['seed']}"]),
+)
+
+
+def _present(report: Report, format: str):
+    """Each section of the report that ``format`` prints: its spec, its dict and the
+    columns that ``format`` prints."""
+    for spec in _SECTIONS:
+        section = getattr(report, spec.source)
+        if section is not None and getattr(spec, format):
+            columns = spec.columns(section) if callable(spec.columns) else spec.columns
+            yield spec, section, [c for c in starmap(_Column, columns) if getattr(c, format)]
 
 
 def _csv_sections(report: Report) -> dict[str, str]:
-    sections: dict[str, str] = {}
-    sections["meta"] = _csv_text(("key", "value"), report.meta.items())
-    if report.evaluation is not None:
-        ids = report.evaluation["hypotheses"]
-        header = list(ROUTE_CSV_BASE) + _posterior_columns(ids) + ["score"]
-        rows = []
-        for row in report.evaluation["routes"]:
-            rows.append(
-                [row["route_id"], row["fleet"], row["flights_per_week"], row["aircraft"],
-                 row["profit"], row["total_probability"], *row["posterior"], row["score"]]
-            )
-        sections["routes"] = _csv_text(header, rows)
-    if report.optimization is not None:
-        opt = report.optimization
-        rows = [
-            (hid, w, flag, s, opt["objective"])
-            for hid, w, flag, s in zip(
-                opt["hypotheses"], opt["weights"], opt["active_bounds"], opt["sensitivity"]
-            )
-        ]
-        sections["optimization"] = _csv_text(
-            ("hypothesis", "weight", "active_bound", "sensitivity", "objective"), rows
-        )
-    if report.plan is not None:
-        plan = report.plan
-        selected = set(plan["selected"])
-        rows = [
-            (rid, score, rid in selected)
-            for rid, score in plan["per_route_scores"].items()
-        ]
-        sections["plan"] = _csv_text(("route_id", "score", "selected"), rows)
-        usage_rows = [
-            (name, plan["used"][name], plan["availability"][name]) for name in plan["used"]
-        ]
-        sections["fleet_usage"] = _csv_text(("fleet", "used", "available"), usage_rows)
-    if report.rm is not None:
-        rows = []
-        for leg in report.rm["legs"]:
-            sim = leg["simulation"]
-            rows.append(
-                (leg["leg_id"], leg["protection_level"], leg["booking_limit"],
-                 leg["expected_revenue"], leg["fcfs_revenue"], leg["uplift_pct"],
-                 sim["mean_revenue"], sim["mean_load_factor"], sim["denied_rate"],
-                 sim["spill_rate"])
-            )
-        sections["rm_legs"] = _csv_text(
-            ("leg_id", "protection_level", "booking_limit", "expected_revenue",
-             "fcfs_revenue", "uplift_pct", "sim_mean_revenue", "sim_mean_load_factor",
-             "sim_denied_rate", "sim_spill_rate"), rows
-        )
+    sections = {}
+    for spec, section, columns in _present(report, "csv"):
+        rows = spec.rows(section)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            zip(*[[c.csv, *map(_fmt, _values(rows, c.key))] for c in columns]))
+        sections[spec.csv] = buf.getvalue()
     return sections
 
 
-def _render_rows(headers, rows) -> list[str]:
-    cells = [[_fmt(v) for v in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in cells:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in cells:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    return lines
-
-
 def _table_text(report: Report) -> str:
-    lines: list[str] = []
-    lines.append("== meta ==")
-    for key, value in report.meta.items():
-        lines.append(f"{key}: {_fmt(value)}")
-    if report.evaluation is not None:
-        lines.append("")
-        lines.append("== evaluation ==")
-        ids = report.evaluation["hypotheses"]
-        lines.append("weights: " + ", ".join(
-            f"{hid}={w:.6g}" for hid, w in zip(ids, report.evaluation["weights"])
-        ))
-        headers = ["route", "fleet", "flights", "aircraft", "load_factor", "profit",
-                   "p_profitable", "top_driver", "score"]
-        rows = []
-        for row in report.evaluation["routes"]:
-            rows.append([
-                row["route_id"], row["fleet"], row["flights_per_week"], row["aircraft"],
-                f"{row['achieved_load_factor']:.3f}", f"{row['profit']:.6g}",
-                f"{row['total_probability']:.4f}", row["top_driver"], f"{row['score']:.6g}",
-            ])
-        lines.extend(_render_rows(headers, rows))
-    if report.optimization is not None:
-        lines.append("")
-        lines.append("== optimization ==")
-        opt = report.optimization
-        rows = [
-            (hid, f"{w:.6g}", flag, f"{s:.6g}")
-            for hid, w, flag, s in zip(opt["hypotheses"], opt["weights"],
-                                       opt["active_bounds"], opt["sensitivity"])
-        ]
-        lines.extend(_render_rows(["hypothesis", "weight", "bound", "sensitivity"], rows))
-        lines.append(f"objective: {opt['objective']:.6g}")
-    if report.plan is not None:
-        lines.append("")
-        lines.append("== plan ==")
-        plan = report.plan
-        if plan["selected"]:
-            rows = [(rid, f"{plan['per_route_scores'][rid]:.6g}") for rid in plan["selected"]]
-            lines.extend(_render_rows(["route", "score"], rows))
-        else:
-            lines.append("no routes selected")
-        usage = ", ".join(
-            f"{name}={plan['used'][name]}/{plan['availability'][name]}" for name in plan["used"]
-        )
-        if usage:
-            lines.append(f"fleet usage: {usage}")
-        lines.append(f"total score: {plan['total_score']:.6g}")
-    if report.rm is not None:
-        lines.append("")
-        lines.append("== revenue management ==")
-        headers = ["leg", "protect", "limit", "expected", "fcfs", "uplift_%", "sim_mean"]
-        rows = []
-        for leg in report.rm["legs"]:
-            uplift = leg["uplift_pct"]
-            rows.append([
-                leg["leg_id"], leg["protection_level"], leg["booking_limit"],
-                f"{leg['expected_revenue']:.6g}", f"{leg['fcfs_revenue']:.6g}",
-                "n/a" if uplift is None else f"{uplift:.3f}",
-                f"{leg['simulation']['mean_revenue']:.6g}",
-            ])
-        lines.extend(_render_rows(headers, rows))
-        lines.append(f"trials: {report.rm['trials']}, seed: {report.rm['seed']}")
-    return "\n".join(lines) + "\n"
+    blocks = []
+    for spec, section, columns in _present(report, "table"):
+        lines = [f"== {spec.table} ==", *spec.before(section)]
+        rows = (spec.table_rows or spec.rows)(section)
+        if spec.empty and not rows:
+            lines.append(spec.empty)
+        elif columns:
+            cells = [[c.table, *map(c.fmt, _values(rows, c.key))] for c in columns]
+            widths = [max(map(len, column)) for column in cells]
+            head, *body = zip(*cells)
+            lines += ["  ".join(map(str.ljust, row, widths)).rstrip()
+                      for row in (head, ["-" * w for w in widths], *body)]
+        lines += spec.after(section)
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
 
 
 def _csv_destination_paths(destination, sections) -> dict[str, Path]:
     base = Path(destination)
     if base.is_dir():
         return {name: base / f"{name}.csv" for name in sections}
-    stem = base
-    if stem.suffix == ".csv":
-        stem = stem.with_suffix("")
-    return {name: stem.parent / f"{stem.name}.{name}.csv" for name in sections}
+    if base.suffix == ".csv":
+        base = base.with_suffix("")
+    return {name: base.parent / f"{base.name}.{name}.csv" for name in sections}
 
 
 def emit_report(report: Report, format: str = "json", destination=None) -> None:
@@ -241,18 +214,15 @@ def emit_report(report: Report, format: str = "json", destination=None) -> None:
         raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
     if isinstance(destination, str) and destination.endswith(("/", os.sep)) and not Path(destination).is_dir():
         raise IoError(f"cannot write {destination}: no such directory")
-    if format == "json":
-        text = report_to_json(report)
-    elif format == "table":
-        text = _table_text(report)
-    else:
+    if format == "csv":
         sections = _csv_sections(report)
-        if destination is None:
-            sys.stdout.write("\n".join(f"# section: {name}\n{body}" for name, body in sections.items()))
+        if destination is not None:
+            for name, path in _csv_destination_paths(destination, sections).items():
+                atomic_write_text(path, sections[name])
             return
-        for name, path in _csv_destination_paths(destination, sections).items():
-            atomic_write_text(path, sections[name])
-        return
+        text = "\n".join(f"# section: {name}\n{body}" for name, body in sections.items())
+    else:
+        text = report_to_json(report) if format == "json" else _table_text(report)
     if destination is None:
         sys.stdout.write(text)
     else:
