@@ -62,7 +62,7 @@ def mean_likelihoods(rows: RouteColumns) -> LikelihoodVector:
     """
     n = len(rows.route_ids)
     if not n:
-        raise ValidationError("routes", "optimization requires at least one route")
+        raise ValidationError("routes", "the mean likelihood needs at least one route")
     return LikelihoodVector(tuple(math.fsum(row) / n for row in rows.likelihoods.tolist()))
 
 
@@ -200,7 +200,8 @@ def run_pipeline(
     weights_label = "prior"
     if "optimize" in requested:
         with _stage_context("optimize"):
-            coeffs = mean_likelihoods(rows)
+            # with no route, the network-average likelihood is 0 for every driver the scenario declares
+            coeffs = mean_likelihoods(rows) if rows.route_ids else LikelihoodVector((0.0,) * len(scenario.hypotheses))
             result = optimize_weights(coeffs, scenario.constraints or BoxConstraints.full(len(scenario.hypotheses)))
         optimization = _optimization_section(scenario, result, coeffs)
         plan_weights = result.weights

@@ -56,15 +56,6 @@ class FleetAvailability:
             if count < 0:
                 raise ValueError(f"availability for {name!r} must be >= 0, got {count!r}")
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.counts
-
-    def get(self, name: str) -> int:
-        return self.counts[name]
-
-    def items(self):
-        return self.counts.items()
-
 
 @dataclass(frozen=True)
 class NetworkPlan:
@@ -89,7 +80,7 @@ def _check_candidates(candidates: list[RouteCandidate], availability: FleetAvail
         if c.route_id in seen:
             raise ValueError(f"duplicate candidate route_id {c.route_id!r}")
         seen.add(c.route_id)
-        if c.fleet_name not in availability:
+        if c.fleet_name not in availability.counts:
             raise ValueError(
                 f"candidate {c.route_id!r} needs fleet {c.fleet_name!r}, "
                 "which availability does not list"
@@ -147,12 +138,12 @@ def select_routes(
     scores = {c.route_id: score_candidate(c) for c in candidates}
     if not math.isfinite(positive := sum(max(s, 0.0) for s in scores.values())):
         raise ValueError(f"the positive scores sum to {positive!r}, past the float range")
-    by_fleet = {name: [] for name, _ in availability.items()}
+    by_fleet = {name: [] for name in availability.counts}
     for c in sorted(candidates, key=lambda c: c.route_id):
-        if scores[c.route_id] > 0.0 and c.aircraft_needed <= availability.get(c.fleet_name):
+        if scores[c.route_id] > 0.0 and c.aircraft_needed <= availability.counts[c.fleet_name]:
             by_fleet[c.fleet_name].append((c, scores[c.route_id]))
     chosen = sorted(
-        (c for name, items in by_fleet.items() for c in _fleet_select(items, availability.get(name))),
+        (c for name, items in by_fleet.items() for c in _fleet_select(items, availability.counts[name])),
         key=lambda c: c.route_id,
     )
     used = {name: 0 for name in by_fleet}

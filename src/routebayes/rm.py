@@ -45,11 +45,18 @@ def _tails(pmf) -> np.ndarray:
     return np.append(np.cumsum(pmf[:0:-1])[::-1], 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DemandModel:
-    """Truncated demand distribution on {0, 1, ..., truncation}."""
+    """Truncated demand on {0, 1, ..., truncation}: its own read-only float64 pmf, compared by value, unhashable."""
 
-    pmf: tuple[float, ...]
+    pmf: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "pmf", np.array(self.pmf, float))  # a copy the kernels read, never a caller's view
+        self.pmf.flags.writeable = False
+
+    def __eq__(self, other):
+        return np.array_equal(self.pmf, other.pmf) if isinstance(other, DemandModel) else NotImplemented
 
     @classmethod
     def poisson(cls, mean: float) -> "DemandModel":
@@ -57,29 +64,25 @@ class DemandModel:
         if mean < 0:
             raise ValueError(f"poisson mean must be >= 0, got {mean!r}")
         if mean == 0:
-            return cls((1.0,))
+            return cls([1.0])
         # the mass beyond 40 standard deviations is far below double precision
         size = int(mean + 40 * math.sqrt(mean)) + 61
         if size > MAX_RM_CELLS:
             raise ValueError(f"poisson mean {mean!r} needs {size} support points, over the limit of {MAX_RM_CELLS}")
         k = np.arange(size)
         pmf = np.exp(k * math.log(mean) - np.fromiter(map(math.lgamma, k + 1.0), float) - mean)
-        t = int(np.argmax(_tails(pmf) < TAIL_MASS))
-        return cls(tuple(pmf[: t + 1].tolist()))
+        return cls(pmf[: int(np.argmax(_tails(pmf) < TAIL_MASS)) + 1])
 
     @classmethod
     def discrete(cls, pmf: list[float]) -> "DemandModel":
         """Explicit pmf over {0..len-1}; must sum to 1 within 1e-9."""
-        values = tuple(float(p) for p in pmf)
-        if not values:
-            raise ValueError("pmf must be nonempty")
-        for i, p in enumerate(values):
-            if not math.isfinite(p) or p < 0:
-                raise ValueError(f"pmf[{i}] must be a finite nonnegative number, got {p!r}")
-        total = math.fsum(values)
+        model = cls(pmf)
+        if bad := np.flatnonzero(~(np.isfinite(model.pmf) & (model.pmf >= 0))).tolist():
+            raise ValueError(f"pmf[{bad[0]}] must be a finite nonnegative number, got {model.pmf[bad[0]].item()!r}")
+        total = math.fsum(model.pmf)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"pmf sums to {total!r}, outside 1 +/- 1e-9")
-        return cls(values)
+        return model
 
     @classmethod
     def deterministic(cls, value: int) -> "DemandModel":
@@ -124,7 +127,7 @@ class LegRMProblem:
                 f"capacity {self.capacity} needs an overbooking sweep of "
                 f"{OVERBOOKING_SEARCH_FACTOR * self.capacity} bookings, over the limit of {MAX_RM_CELLS}"
             )
-        cells = len(self.demand_low.pmf) * len(self.demand_high.pmf)
+        cells = self.demand_low.pmf.size * self.demand_high.pmf.size
         if cells > MAX_RM_CELLS:
             raise ValueError(f"the denied-boarding sum takes {cells} products, over the limit of {MAX_RM_CELLS}")
 
@@ -201,7 +204,7 @@ def expected_revenue(problem: LegRMProblem, policy: RMPolicy) -> float:
     _check_policy(problem, policy)
     booking, low_cap = policy.booking_limit, policy.booking_limit - policy.protection_level
     _, over = problem._show_ups
-    low, high = np.asarray(problem.demand_low.pmf), np.asarray(problem.demand_high.pmf)
+    low, high = problem.demand_low.pmf, problem.demand_high.pmf
     # P(a): the pmf below B - P, and the whole low-fare tail at a = B - P
     weight = np.append(low[:low_cap], math.fsum(low[low_cap:].tolist()))[: low.size]
     accepted = np.arange(weight.size)
@@ -250,7 +253,7 @@ def _sample_demand(model: DemandModel, uniforms: np.ndarray) -> np.ndarray:
     Bucket floor(u * K) holds u exactly, as K is a power of two; guide[j] = searchsorted(cum, j / K)
     answers every bucket that holds no CDF step, and only the others take the binary search.
     """
-    cum = np.cumsum(np.asarray(model.pmf))
+    cum = np.cumsum(model.pmf)
     size = 1 << min(4 * cum.size, uniforms.size).bit_length()  # K: 4-8x the support, at most 2x the trials
     guide = np.searchsorted(cum, np.arange(size + 1) / size, side="right")
     bucket = (uniforms * size).astype(np.int64)

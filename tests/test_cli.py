@@ -9,8 +9,11 @@ import pytest
 from routebayes.cli import main
 
 DEMO = str(Path(__file__).parents[1] / "scenarios" / "demo.json")
-REGRESS = Path(__file__).parent / "data" / "regress"
+DATA = Path(__file__).parent / "data"
+REGRESS = DATA / "regress"
 OVER_PROTECTED = str(REGRESS / "over_protected_leg.json")
+ROUTE_LESS = [p for p in sorted(DATA.glob("corpus/*.json")) + sorted(DATA.glob("golden/inputs/*.json"))
+              if not json.loads(p.read_text()).get("routes")]
 
 
 def write(tmp_path, doc, name="scenario.json"):
@@ -212,6 +215,16 @@ class TestSubcommands:
         doc = json.loads(out.read_text())
         assert set(doc) == {"meta", "evaluation", "optimization", "plan"}
         assert doc["plan"]["selected"] == ["hub_capital"]
+
+    @pytest.mark.parametrize("command", ["optimize", "plan"])
+    @pytest.mark.parametrize("path", ROUTE_LESS, ids=lambda p: p.name)
+    def test_route_less_scenario_optimizes_and_plans(self, tmp_path, command, path):
+        out = tmp_path / "report.json"
+        assert main([command, "--scenario", str(path), "--format", "json", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["optimization"]["objective"] == 0.0
+        if command == "plan":
+            assert doc["plan"]["selected"] == []
 
     def test_rm_with_trials_and_seed(self, tmp_path):
         out_a = tmp_path / "a.json"

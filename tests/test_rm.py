@@ -78,10 +78,40 @@ class TestDemandModel:
     def test_discrete_validation(self):
         with pytest.raises(ValueError):
             DemandModel.discrete([0.5, 0.6])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^pmf\[1\] must be a finite nonnegative number, got -0\.1$"):
             DemandModel.discrete([0.5, -0.1, 0.6])
+        with pytest.raises(ValueError, match=r"^pmf\[2\] must be a finite nonnegative number, got nan$"):
+            DemandModel.discrete([0.5, 0.5, float("nan")])
+        with pytest.raises(ValueError, match=r"^pmf\[0\] must be a finite nonnegative number, got inf$"):
+            DemandModel.discrete([float("inf")])
         with pytest.raises(ValueError):
             DemandModel.discrete([])
+
+    def test_pmf_is_a_read_only_float64_array(self):
+        source = np.array([0.25, 0.75])
+        for model in (DemandModel.poisson(7.5), DemandModel.discrete(source), DemandModel.deterministic(3)):
+            assert isinstance(model.pmf, np.ndarray) and model.pmf.dtype == np.float64
+            assert not model.pmf.flags.writeable
+            with pytest.raises(ValueError):
+                model.pmf[0] = 0.5
+        model = DemandModel.discrete(source)
+        source[0] = 0.5  # the model holds a copy, not the caller's array
+        assert model.pmf.tolist() == [0.25, 0.75]
+
+    def test_poisson_pmf_owns_its_memory(self):
+        # a view would keep the whole untruncated buffer alive
+        model = DemandModel.poisson(960_000)
+        assert model.pmf.base is None
+        assert model.pmf.nbytes == 8 * (model.truncation + 1)
+
+    def test_models_compare_by_value(self):
+        assert DemandModel.discrete([0.25, 0.75]) == DemandModel.discrete(np.array([0.25, 0.75]))
+        assert DemandModel.poisson(0) == DemandModel.deterministic(0)
+        assert DemandModel.discrete([0.25, 0.75]) != DemandModel.discrete([0.75, 0.25])
+        assert DemandModel.discrete([1.0]) != DemandModel.discrete([1.0, 0.0])
+        assert DemandModel.poisson(3) != DemandModel.poisson(3.5)
+        assert DemandModel.discrete([1.0]) != (1.0,)
+        assert leg() == leg() and leg() != leg(demand_low=DemandModel.poisson(9))
 
     def test_discrete_survival(self):
         tails = _tails(DemandModel.discrete([0.1] * 10).pmf)

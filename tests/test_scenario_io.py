@@ -249,6 +249,8 @@ REJECTIONS = [
      "rm_legs[0].demand_high"),
     ("demand-pmf", _leg(demand_low={"kind": "discrete", "pmf": [0.5, 0.6]}), ValidationError,
      "rm_legs[0].demand_low.pmf"),
+    ("demand-pmf-empty", _leg(demand_low={"kind": "discrete", "pmf": []}), ValidationError,
+     "rm_legs[0].demand_low.pmf"),
     ("demand-kind", _leg(demand_high={"kind": "weibull", "mean": 2}), ValidationError,
      "rm_legs[0].demand_high.kind"),
     ("demand-key", _leg(demand_high={"kind": "poisson", "pmf": [1.0]}), ValidationError,
