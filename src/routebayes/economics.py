@@ -180,7 +180,8 @@ def aircraft_required(flights_per_week: int, block_hours_per_flight: float, util
         raise ValueError(f"block hours must be > 0, got {block_hours_per_flight!r}")
     if flights_per_week == 0:
         return 0
-    return math.ceil(_aircraft(flights_per_week, block_hours_per_flight, utilization))
+    # a nonzero frequency needs an aircraft even where the product underflows to 0
+    return max(1, math.ceil(_aircraft(flights_per_week, block_hours_per_flight, utilization)))
 
 
 def range_feasible(route: Route, fleet: FleetType) -> bool:
@@ -207,6 +208,9 @@ def fleet_requirement(route: Route, fleet: FleetType, target_load_factor: float)
     """Size the weekly operation of ``route`` with ``fleet``."""
     flights = required_frequency(route.demand_pax_per_week, fleet.seats, target_load_factor)
     aircraft = aircraft_required(flights, route.block_hours_per_flight, fleet.utilization_block_hours_per_week)
+    if math.isinf(flights * float(fleet.seats)):
+        raise ValueError(f"demand {route.demand_pax_per_week!r} needs {float(flights)!r} flights of {fleet.seats} "
+                         "seats a week, more seats than the float range holds")
     load_factor = 0.0 if flights == 0 else min(1.0, _load_factor(route.demand_pax_per_week, flights, fleet.seats))
     return FleetRequirement(flights, aircraft, load_factor)
 
@@ -260,11 +264,11 @@ def evaluate_routes(scenario) -> RouteColumns:
     with np.errstate(all="ignore"):
         flights = np.ceil(_flights(demand, f.seats, scenario.target_load_factor))
         aircraft = np.ceil(_aircraft(flights, r.block_hours_per_flight, f.utilization_block_hours_per_week))
+        aircraft = np.maximum(aircraft, flights > 0)  # at least one for a nonzero frequency, as in aircraft_required
         idle = flights == 0
         load_factor = np.where(idle, 0.0, np.minimum(1.0, _load_factor(demand, flights, f.seats)))
         profit = np.where(idle, 0.0, _profit(r, flights, np.minimum(demand, flights * f.seats)))
-        sized = (np.isfinite(flights) & np.isfinite(aircraft) & np.isfinite(flights * f.seats)
-                 & ((aircraft == 0) == idle))
+        sized = np.isfinite(flights) & np.isfinite(aircraft) & np.isfinite(flights * f.seats)
         rank = [sorted(index).index(fleet.name) for fleet in fleets]
         fleet, each = np.full(len(routes), -1), np.arange(len(routes))
         for k in range(len(fleets)):

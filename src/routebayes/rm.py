@@ -7,12 +7,12 @@ rest of the booking limit. Accepted passengers show up independently with
 survivor beyond physical capacity costs a flat denied-boarding amount.
 
 Expectations are exact sums over the truncated demand distributions. A
-Poisson pmf is built from ``exp(k log(mean) - mean - lgamma(k + 1))`` and cut
-at the smallest support whose tail mass is below 1e-9. Each leg sweeps its
-binomial show-up tails once, forward to 3 x capacity bookings (the bound on
-any booking limit), keeping the point mass as mantissa and binary exponent so
-it cannot underflow; the overbooking limit and the denied boardings read that
-one table. Expected revenue is one ``fsum`` over a = min(D_low, B - P), the
+Poisson pmf is ``exp(k log(mean) - mean - lgamma(k + 1))`` over one shared
+lgamma table, cut at the smallest support whose tail mass is below 1e-9; each
+model sums its tails once. Each leg sweeps its binomial show-up tails once, to
+the first booking that no longer pays (the overbooking limit, at most 3 x
+capacity), with the point mass as mantissa and binary exponent so it cannot
+underflow. Expected revenue is one ``fsum`` over a = min(D_low, B - P), the
 accepted low fares under booking limit B and protection P. The Monte Carlo
 path uses numpy's PCG64 generator seeded explicitly. A demand draw is the
 inverse CDF, found by an indexed (guide-table) search that returns exactly the
@@ -31,13 +31,30 @@ import numpy as np
 
 TAIL_MASS = 1e-9
 OVERBOOKING_SEARCH_FACTOR = 3
-#: Largest work a leg may ask for: the Poisson support built before truncation,
-#: the one show-up sweep over 3 x capacity bookings (the bound on any booking
-#: limit), and |D_low| x |D_high|, which bounds the multiply-adds of
+#: Largest work a leg may ask for: the Poisson support built before truncation
+#: (and so the shared lgamma table), the show-up sweep's 3 x capacity bound on
+#: any booking limit, and |D_low| x |D_high|, which bounds the multiply-adds of
 #: expected_revenue's denied-boarding correlation, each stay within this many cells.
 MAX_RM_CELLS = 10**6
 #: Most Monte Carlo trials per leg: simulate_leg peaks at 13 arrays of 8 bytes per trial, 104 MB here.
 MAX_TRIALS = 10**6
+
+
+_lgammas = np.zeros(0)  # lgamma(k + 1) for k = 0, 1, ...: one read-only table per process, grown on demand
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _log_factorials(size: int) -> np.ndarray:
+    """lgamma(k + 1) for k < size, from the shared table, extended by math.lgamma as far as size."""
+    global _lgammas
+    if _lgammas.size < size:
+        more = np.fromiter(map(math.lgamma, np.arange(_lgammas.size + 1.0, size + 1.0)), float)
+        _lgammas = _read_only(np.append(_lgammas, more))
+    return _lgammas[:size]
 
 
 def _tails(pmf) -> np.ndarray:
@@ -52,8 +69,7 @@ class DemandModel:
     pmf: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "pmf", np.array(self.pmf, float))  # a copy the kernels read, never a caller's view
-        self.pmf.flags.writeable = False
+        object.__setattr__(self, "pmf", _read_only(np.array(self.pmf, float)))  # a copy, never a caller's view
 
     def __eq__(self, other):
         return np.array_equal(self.pmf, other.pmf) if isinstance(other, DemandModel) else NotImplemented
@@ -69,8 +85,7 @@ class DemandModel:
         size = int(mean + 40 * math.sqrt(mean)) + 61
         if size > MAX_RM_CELLS:
             raise ValueError(f"poisson mean {mean!r} needs {size} support points, over the limit of {MAX_RM_CELLS}")
-        k = np.arange(size)
-        pmf = np.exp(k * math.log(mean) - np.fromiter(map(math.lgamma, k + 1.0), float) - mean)
+        pmf = np.exp(np.arange(size) * math.log(mean) - _log_factorials(size) - mean)
         return cls(pmf[: int(np.argmax(_tails(pmf) < TAIL_MASS)) + 1])
 
     @classmethod
@@ -96,6 +111,14 @@ class DemandModel:
     @property
     def truncation(self) -> int:
         return len(self.pmf) - 1
+
+    @cached_property
+    def tails(self) -> np.ndarray:  # P(D > y) for y = 0..truncation, read-only
+        return _read_only(_tails(self.pmf))
+
+    @cached_property
+    def tail_sums(self) -> np.ndarray:  # E[min(D, r)] for r = 0..truncation + 1: the tails' prefix sums, read-only
+        return _read_only(np.append(0.0, np.cumsum(self.tails)))
 
 
 @dataclass(frozen=True)
@@ -133,7 +156,12 @@ class LegRMProblem:
 
     @cached_property
     def _show_ups(self) -> tuple[np.ndarray, np.ndarray]:
-        """The leg's one show-up sweep, out to the 3 x capacity booking bound."""
+        """The leg's one show-up sweep, out to the first booking that no longer pays: the overbooking limit."""
+        bound = OVERBOOKING_SEARCH_FACTOR * self.capacity
+        return _show_up_sweep(self.capacity, self.show_up_prob, bound, self.fare_low, self.denied_cost)
+
+    @cached_property
+    def _bound_sweep(self) -> tuple[np.ndarray, np.ndarray]:  # only for a booking limit past the overbooking limit
         return _show_up_sweep(self.capacity, self.show_up_prob, OVERBOOKING_SEARCH_FACTOR * self.capacity)
 
 
@@ -167,29 +195,32 @@ def littlewood_protection(problem: LegRMProblem) -> int:
     level above capacity is clamped to it: no policy protects more seats than
     the cabin has.
     """
-    tails = _tails(problem.demand_high.pmf)
-    return min(int(np.argmax(tails <= problem.fare_low / problem.fare_high)), problem.capacity)
+    return min(int(np.argmax(problem.demand_high.tails <= problem.fare_low / problem.fare_high)), problem.capacity)
 
 
-def _show_up_sweep(capacity: int, p: float, max_booked: int) -> tuple[np.ndarray, np.ndarray]:
-    """P(S_m >= capacity) and E[max(0, S_m - capacity)] for S_m ~ Bin(m, p), m <= max_booked.
+def _show_up_sweep(capacity: int, p: float, max_booked: int,
+                   fare_low: float = 1.0, denied_cost: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """P(S_m >= capacity) and E[max(0, S_m - capacity)] for S_m ~ Bin(m, p), m <= M.
 
     A booking adds a survivor with probability p, so full[m+1] = full[m] +
     p * P(S_m = capacity - 1) and over[m+1] = over[m] + p * full[m]. The point
     mass is carried as a mantissa and a binary exponent because its start,
-    p**(capacity - 1), underflows at large capacities and low show-up rates.
+    p**(capacity - 1), underflows at large capacities and low show-up rates. M is
+    the first m >= capacity failing fare_low - denied_cost * full[m] > 0, else max_booked.
     """
     frexp, ldexp, q = math.frexp, math.ldexp, 1.0 - p
-    steps = [0.0] * capacity
+    full = [0.0] * capacity
     mantissa, exponent = 1.0, 0
     for _ in range(capacity - 1):
         mantissa, shift = frexp(mantissa * p)
         exponent += shift
     for m in range(capacity - 1, max_booked):
-        steps.append(p * ldexp(mantissa, exponent))
+        full.append(full[-1] + p * ldexp(mantissa, exponent))
+        if not fare_low - denied_cost * full[-1] > 0.0:  # the next booking would not pay
+            break
         mantissa, shift = frexp(mantissa * (m + 1) / (m + 2 - capacity) * q)
         exponent += shift
-    full = np.cumsum(steps)  # adds left to right, as full[m + 1] = full[m] + step would
+    full = np.array(full)
     return full, np.append(0.0, np.cumsum(p * full[:-1]))
 
 
@@ -203,18 +234,19 @@ def expected_revenue(problem: LegRMProblem, policy: RMPolicy) -> float:
     """
     _check_policy(problem, policy)
     booking, low_cap = policy.booking_limit, policy.booking_limit - policy.protection_level
-    _, over = problem._show_ups
-    low, high = problem.demand_low.pmf, problem.demand_high.pmf
+    over = problem._show_ups[1]
+    if booking >= over.size:  # past the overbooking limit: the table grows to the 3 x capacity bound
+        over = problem._bound_sweep[1]
+    low, high, tails = problem.demand_low.pmf, problem.demand_high.pmf, problem.demand_high.tails
     # P(a): the pmf below B - P, and the whole low-fare tail at a = B - P
     weight = np.append(low[:low_cap], math.fsum(low[low_cap:].tolist()))[: low.size]
     accepted = np.arange(weight.size)
     rest = np.minimum(booking - accepted, high.size)
-    tails = _tails(high)
     at_least = np.append(tails[0] + high[0], tails)
     band = np.zeros(weight.size + high.size - 1)
     band[: min(booking, band.size)] = over[: min(booking, band.size)]
     denied = np.correlate(band, high, "valid") + over[booking] * at_least[rest]
-    shows_high = np.append(0.0, np.cumsum(tails))[rest]
+    shows_high = problem.demand_high.tail_sums[rest]
     fares = problem.show_up_prob * (accepted * problem.fare_low * at_least[0] + shows_high * problem.fare_high)
     return math.fsum((weight * (fares - problem.denied_cost * denied)).tolist())
 
@@ -225,11 +257,9 @@ def overbooking_limit(problem: LegRMProblem) -> int:
     The marginal condition is fare_low - denied_cost * P(survivors of the
     previous bookings >= capacity) > 0, with survivors binomial in the
     show-up probability. The limit is the first booking count from capacity
-    on whose next booking fails it, or 3x capacity if none does.
+    on whose next booking fails it, or 3x capacity if none does: the table's end.
     """
-    full, _ = problem._show_ups
-    pays = problem.fare_low - problem.denied_cost * full[problem.capacity : -1] > 0.0
-    return problem.capacity + int(np.argmin(np.append(pays, False)))
+    return problem._show_ups[0].size - 1
 
 
 def fcfs_baseline(problem: LegRMProblem) -> float:
@@ -287,16 +317,15 @@ def simulate_leg(
     boarded = np.minimum(survivors, problem.capacity)
     denied = survivors - boarded
     revenue = problem.fare_low * show_low + problem.fare_high * show_high - problem.denied_cost * denied
-    spill = (d_low - acc_low) + (d_high - acc_high)
-    requests = d_low + d_high
     total_survivors = int(survivors.sum())
-    total_requests = int(requests.sum())
+    total_requests = int(d_low.sum()) + int(d_high.sum())
+    spilled = total_requests - int(acc_low.sum()) - int(acc_high.sum())
     se = float(revenue.std(ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0
     return LegSimulationSummary(
         trials=trials,
         mean_revenue=float(revenue.mean()),
         mean_load_factor=float((boarded / problem.capacity).mean()),
         denied_rate=float(denied.sum()) / total_survivors if total_survivors else 0.0,
-        spill_rate=float(spill.sum()) / total_requests if total_requests else 0.0,
+        spill_rate=float(spilled) / total_requests if total_requests else 0.0,
         mean_revenue_se=se,
     )

@@ -2,7 +2,9 @@
 
 These deliberately avoid the code paths they verify: vertex enumeration for
 the weight optimizer, exhaustive subset enumeration (whole or per fleet) for
-the network planner, comb-based joint enumeration for leg revenue, one
+the network planner, comb-based joint enumeration for leg revenue, the
+show-up sweep out to 3 x capacity with a first-failure search over it for the
+overbooking limit, each Poisson pmf from its own lgamma values, one
 binary search per uniform for demand draws, one route at a time in
 Python floats and ints for the route evaluation, and the CSV and table
 emitters as they were when each section's fields were picked by hand.
@@ -17,7 +19,7 @@ import numpy as np
 from routebayes.bayes import LikelihoodVector, WeightVector
 from routebayes.economics import FleetRequirement
 from routebayes.errors import at
-from routebayes.rm import _check_policy, _show_up_sweep
+from routebayes.rm import OVERBOOKING_SEARCH_FACTOR, TAIL_MASS, _check_policy, _show_up_sweep, _tails
 
 
 def simplex_vertices(lower, upper, tol=1e-12):
@@ -205,6 +207,40 @@ def show_up_sweep_loop(capacity, p, max_booked):
     return full, np.append(0.0, np.cumsum(p * full[:-1]))
 
 
+def overbooking_limit_search(problem):
+    """The first booking count from capacity on whose next booking no longer pays, searched over the whole sweep."""
+    capacity = problem.capacity
+    full, _ = show_up_sweep_loop(capacity, problem.show_up_prob, OVERBOOKING_SEARCH_FACTOR * capacity)
+    pays = problem.fare_low - problem.denied_cost * full[capacity:-1] > 0.0
+    return capacity + int(np.argmin(np.append(pays, False)))
+
+
+def expected_revenue_full_sweep(problem, policy):
+    """The one-dimensional expected revenue on the show-up sweep out to 3 x capacity, tails summed per call."""
+    _check_policy(problem, policy)
+    booking, low_cap = policy.booking_limit, policy.booking_limit - policy.protection_level
+    _, over = show_up_sweep_loop(problem.capacity, problem.show_up_prob, OVERBOOKING_SEARCH_FACTOR * problem.capacity)
+    low, high = problem.demand_low.pmf, problem.demand_high.pmf
+    weight = np.append(low[:low_cap], math.fsum(low[low_cap:].tolist()))[: low.size]
+    accepted = np.arange(weight.size)
+    rest = np.minimum(booking - accepted, high.size)
+    tails = _tails(high)
+    at_least = np.append(tails[0] + high[0], tails)
+    band = np.zeros(weight.size + high.size - 1)
+    band[: min(booking, band.size)] = over[: min(booking, band.size)]
+    denied = np.correlate(band, high, "valid") + over[booking] * at_least[rest]
+    shows_high = np.append(0.0, np.cumsum(tails))[rest]
+    fares = problem.show_up_prob * (accepted * problem.fare_low * at_least[0] + shows_high * problem.fare_high)
+    return math.fsum((weight * (fares - problem.denied_cost * denied)).tolist())
+
+
+def poisson_pmf_direct(mean):
+    """A positive-mean Poisson pmf with lgamma(k + 1) computed for this model alone, cut as DemandModel.poisson cuts."""
+    k = np.arange(int(mean + 40 * math.sqrt(mean)) + 61)
+    pmf = np.exp(k * math.log(mean) - np.fromiter(map(math.lgamma, k + 1.0), float) - mean)
+    return pmf[: int(np.argmax(_tails(pmf) < TAIL_MASS)) + 1]
+
+
 def grid_expected_revenue(problem, policy):
     """Exact expected revenue summed over the whole |D_low| x |D_high| demand grid."""
     _check_policy(problem, policy)
@@ -243,7 +279,10 @@ def sized_route(route, fleet, target_load_factor):
     flights = 0 if demand == 0 else math.ceil(demand / (fleet.seats * target_load_factor))
     if flights == 0:
         return FleetRequirement(0, 0, 0.0), 0.0
-    aircraft = math.ceil(flights * route.block_hours_per_flight / fleet.utilization_block_hours_per_week)
+    aircraft = max(1, math.ceil(flights * route.block_hours_per_flight / fleet.utilization_block_hours_per_week))
+    if math.isinf(flights * float(fleet.seats)):
+        raise ValueError(f"demand {demand!r} needs {float(flights)!r} flights of {fleet.seats} "
+                         "seats a week, more seats than the float range holds")
     requirement = FleetRequirement(flights, aircraft, min(1.0, demand / (flights * fleet.seats)))
     carried = min(demand, flights * fleet.seats)
     cost = flights * (route.block_hours_per_flight * route.cost_per_block_hour + route.fixed_cost_per_flight)

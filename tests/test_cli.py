@@ -151,6 +151,32 @@ class TestExitCodes:
         assert reason in err
         assert "Traceback" not in err
 
+    def test_underflowing_aircraft_count_plans(self, tmp_path, capsys):
+        # flights x block hours / utilization underflows to 0, but a flown route needs an aircraft
+        doc = json.loads(Path(DEMO).read_text())
+        doc["routes"][0]["block_hours_per_flight"] = 5e-324
+        path = write(tmp_path, doc)
+        assert main(["validate", "--scenario", path]) == 0
+        capsys.readouterr()
+        assert main(["plan", "--scenario", path, "--format", "json"]) == 0
+        routes = json.loads(capsys.readouterr().out)["evaluation"]["routes"]
+        (row,) = [r for r in routes if r["route_id"] == "hub_coastal"]
+        assert row["flights_per_week"] > 0 and row["aircraft"] == 1
+
+    def test_seats_past_the_float_range_is_one(self, tmp_path, capsys):
+        doc = json.loads(Path(DEMO).read_text())
+        doc["target_load_factor"] = 0.001
+        doc["fleets"][0]["seats"] = 1000
+        doc["routes"][0].update(fleet=doc["fleets"][0]["name"], demand_pax_per_week=1e308, block_hours_per_flight=1)
+        path = write(tmp_path, doc)
+        assert main(["validate", "--scenario", path]) == 0
+        capsys.readouterr()
+        assert main(["plan", "--scenario", path, "--format", "json"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: stage evaluate: routes[hub_coastal]: demand 1e+308 needs 1e+308 flights of 1000 "
+                       "seats a week, more seats than the float range holds\n")
+
     def test_overflowing_rm_leg_is_one(self, capsys):
         path = str(REGRESS / "overflow_rm_fares.json")
         assert main(["validate", "--scenario", path]) == 0

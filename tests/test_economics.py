@@ -70,6 +70,9 @@ class TestAircraftRequired:
     def test_three_aircraft(self):
         assert aircraft_required(30, 5.0, 70.0) == 3
 
+    def test_underflowing_product_still_needs_one_aircraft(self):
+        assert aircraft_required(1, 5e-324, 70.0) == 1
+
     def test_nonpositive_utilization(self):
         with pytest.raises(ValueError, match="utilization must be > 0"):
             aircraft_required(10, 5.0, 0.0)

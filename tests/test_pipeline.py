@@ -147,6 +147,15 @@ class TestStages:
         run_pipeline(scenario, ["rm"], trials=200)
         assert [args[0] for args in calls] == [leg.problem.capacity for leg in scenario.rm_legs]
 
+    def test_rm_sweeps_demo_legs_only_to_their_overbooking_limit(self):
+        scenario = load_scenario(DEMO)
+        report = run_pipeline(scenario, ["rm"], trials=200)
+        for leg, row in zip(scenario.rm_legs, report.rm["legs"], strict=True):
+            full, over = leg.problem._show_ups
+            assert full.size == over.size == row["booking_limit"] + 1
+            assert row["booking_limit"] < rm.OVERBOOKING_SEARCH_FACTOR * leg.problem.capacity
+            assert "_bound_sweep" not in vars(leg.problem)
+
     @pytest.mark.parametrize("names, reason", [
         (("a_small", "b_big"), "entry at index 2 is not finite: nan"),
         (("b_big", "a_small"), "profit is not finite: inf"),

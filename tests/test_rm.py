@@ -12,14 +12,18 @@ from hypothesis import strategies as st
 from _oracles import (
     binom_pmf,
     binom_tail_log,
+    expected_revenue_full_sweep,
     grid_expected_revenue,
     leg_revenue_bruteforce,
+    overbooking_limit_search,
     pmf_mean,
     pmf_survival,
+    poisson_pmf_direct,
     poisson_tail,
     sample_demand_binary_search,
     show_up_sweep_loop,
 )
+from routebayes import rm
 from routebayes.rm import (
     MAX_RM_CELLS,
     MAX_TRIALS,
@@ -113,6 +117,25 @@ class TestDemandModel:
         assert DemandModel.discrete([1.0]) != (1.0,)
         assert leg() == leg() and leg() != leg(demand_low=DemandModel.poisson(9))
 
+    def test_tails_are_summed_once_and_read_only(self):
+        model = DemandModel.poisson(40.0)
+        assert model.tails is model.tails and model.tail_sums is model.tail_sums
+        assert np.array_equal(model.tails, _tails(model.pmf))
+        assert np.array_equal(model.tail_sums, np.append(0.0, np.cumsum(_tails(model.pmf))))
+        for table in (model.tails, model.tail_sums):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0.5
+
+    def test_poisson_reads_one_lgamma_table_in_any_build_order(self, monkeypatch):
+        monkeypatch.setattr(rm, "_lgammas", np.zeros(0))
+        for mean in (0.5, 3.7, 640.0, 2000.0, 80.0, 12.0, 0.9):  # small to large, then large to small
+            assert np.array_equal(DemandModel.poisson(mean).pmf, poisson_pmf_direct(mean))
+        assert rm._lgammas.size == int(2000.0 + 40 * math.sqrt(2000.0)) + 61  # the largest support asked for
+        assert not rm._lgammas.flags.writeable
+        with pytest.raises(ValueError):
+            rm._lgammas[0] = 1.0
+
     def test_discrete_survival(self):
         tails = _tails(DemandModel.discrete([0.1] * 10).pmf)
         assert tails[4] == pytest.approx(0.5)
@@ -145,6 +168,13 @@ class TestSizeLimit:
         DemandModel.poisson(MAX_RM_CELLS * 0.9)
         with pytest.raises(ValueError, match="support points"):
             DemandModel.poisson(float(MAX_RM_CELLS))
+
+    def test_lgamma_table_stays_within_the_limit(self, monkeypatch):
+        monkeypatch.setattr(rm, "_lgammas", np.zeros(0))
+        DemandModel.poisson(MAX_RM_CELLS * 0.9)
+        with pytest.raises(ValueError, match="support points"):
+            DemandModel.poisson(float(MAX_RM_CELLS))
+        assert rm._lgammas.size == int(MAX_RM_CELLS * 0.9 + 40 * math.sqrt(MAX_RM_CELLS * 0.9)) + 61 <= MAX_RM_CELLS
 
     def test_deterministic_support_bound(self):
         assert DemandModel.deterministic(MAX_RM_CELLS - 1).truncation == MAX_RM_CELLS - 1
@@ -336,6 +366,42 @@ class TestShowUpSweep:
                 math.fsum((k - capacity) * w for k, w in enumerate(masses) if k > capacity),
                 rel=1e-12, abs=1e-300,
             )
+
+
+@st.composite
+def sweep_legs(draw):
+    """Legs of 1-500 seats, show-up in (0, 1] with 1 and 0.33 exactly, denied cost from 0 to 20 x fare_low."""
+    capacity = draw(st.integers(1, 500))
+    fare_low = draw(st.floats(1.0, 500.0))
+    return leg(
+        capacity=capacity, fare_low=fare_low, fare_high=fare_low * draw(st.floats(1.0, 4.0)),
+        demand_high=DemandModel.poisson(draw(st.floats(0.0, capacity / 2))),
+        demand_low=DemandModel.poisson(draw(st.floats(0.0, capacity))),
+        show_up_prob=draw(st.one_of(st.just(1.0), st.just(0.33), st.floats(0.0, 1.0, exclude_min=True))),
+        denied_cost=fare_low * draw(st.one_of(st.just(0.0), st.just(20.0), st.floats(0.0, 20.0))),
+    )
+
+
+class TestShortSweep:
+    """The leg's table stops at the overbooking limit and agrees bit for bit with the sweep to 3 x capacity."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sweep_legs())
+    @example(leg(capacity=500, show_up_prob=0.33, fare_low=100.0, denied_cost=2000.0))
+    @example(leg(capacity=1, show_up_prob=1.0, fare_low=100.0, denied_cost=100.0))
+    @example(leg(capacity=3, show_up_prob=1.0, fare_low=100.0, denied_cost=99.0))
+    def test_table_is_the_full_sweep_cut_at_the_limit(self, problem):
+        capacity, bound = problem.capacity, OVERBOOKING_SEARCH_FACTOR * problem.capacity
+        full, over = problem._show_ups
+        limit = overbooking_limit(problem)
+        assert limit == full.size - 1 == over.size - 1 == overbooking_limit_search(problem)
+        want_full, want_over = show_up_sweep_loop(capacity, problem.show_up_prob, bound)
+        assert np.array_equal(full, want_full[: limit + 1]) and np.array_equal(over, want_over[: limit + 1])
+        protection = littlewood_protection(problem)
+        for booking in sorted({capacity, max(capacity, limit - 1), limit, min(limit + 1, bound), bound}):
+            policy = RMPolicy(protection, booking)
+            assert expected_revenue(problem, policy) == expected_revenue_full_sweep(problem, policy)
+        assert overbooking_limit(problem) == limit  # a longer booking limit leaves the leg's table as it was
 
 
 class TestOverbooking:
@@ -531,6 +597,25 @@ class TestUplift:
                 expected_revenue(problem, RMPolicy(star, capacity))
                 >= fcfs_baseline(problem) - 1e-9
             )
+
+
+@pytest.mark.parametrize("command", ["validate", "evaluate", "plan"])
+def test_route_commands_never_import_numpy_random(command):
+    # numpy.random pulls in secrets and OpenSSL; only the Monte Carlo of the rm stage needs it
+    code = (
+        "import contextlib, io, sys\n"
+        "from routebayes.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", code, command, "--scenario", str(ROOT / "scenarios" / "demo.json")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_rm_stage_never_imports_scipy():
