@@ -8,11 +8,10 @@ survivor beyond physical capacity costs a flat denied-boarding amount.
 
 Expectations are exact sums over the truncated demand distributions. A
 Poisson pmf is ``exp(k log(mean) - mean - lgamma(k + 1))`` over one shared
-lgamma table, cut at the smallest support whose tail mass is below 1e-9; each
-model sums its tails once. Each leg sweeps its binomial show-up tails once, to
-the first booking that no longer pays (the overbooking limit, at most 3 x
-capacity), with the point mass as mantissa and binary exponent so it cannot
-underflow. Expected revenue is one ``fsum`` over a = min(D_low, B - P), the
+lgamma table, cut at the smallest support whose tail mass is below 1e-9. Each
+leg sweeps its binomial show-up tails once, to the first booking that no
+longer pays (the overbooking limit, at most 3 x capacity), with the point mass
+as mantissa and binary exponent so it cannot underflow. Expected revenue is one ``fsum`` over a = min(D_low, B - P), the
 accepted low fares under booking limit B and protection P. The Monte Carlo
 path uses numpy's PCG64 generator seeded explicitly. A demand draw is the
 inverse CDF, found by an indexed (guide-table) search that returns exactly the
@@ -51,10 +50,11 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 def _log_factorials(size: int) -> np.ndarray:
     """lgamma(k + 1) for k < size, from the shared table, extended by math.lgamma as far as size."""
     global _lgammas
-    if _lgammas.size < size:
-        more = np.fromiter(map(math.lgamma, np.arange(_lgammas.size + 1.0, size + 1.0)), float)
-        _lgammas = _read_only(np.append(_lgammas, more))
-    return _lgammas[:size]
+    table = _lgammas  # read once: a concurrent extension replaces the global, never this array
+    if table.size < size:
+        more = np.fromiter(map(math.lgamma, np.arange(table.size + 1.0, size + 1.0)), float)
+        table = _lgammas = _read_only(np.append(table, more))
+    return table[:size]
 
 
 def _tails(pmf) -> np.ndarray:
@@ -111,14 +111,6 @@ class DemandModel:
     @property
     def truncation(self) -> int:
         return len(self.pmf) - 1
-
-    @cached_property
-    def tails(self) -> np.ndarray:  # P(D > y) for y = 0..truncation, read-only
-        return _read_only(_tails(self.pmf))
-
-    @cached_property
-    def tail_sums(self) -> np.ndarray:  # E[min(D, r)] for r = 0..truncation + 1: the tails' prefix sums, read-only
-        return _read_only(np.append(0.0, np.cumsum(self.tails)))
 
 
 @dataclass(frozen=True)
@@ -195,7 +187,8 @@ def littlewood_protection(problem: LegRMProblem) -> int:
     level above capacity is clamped to it: no policy protects more seats than
     the cabin has.
     """
-    return min(int(np.argmax(problem.demand_high.tails <= problem.fare_low / problem.fare_high)), problem.capacity)
+    tails = _tails(problem.demand_high.pmf)
+    return min(int(np.argmax(tails <= problem.fare_low / problem.fare_high)), problem.capacity)
 
 
 def _show_up_sweep(capacity: int, p: float, max_booked: int,
@@ -237,16 +230,17 @@ def expected_revenue(problem: LegRMProblem, policy: RMPolicy) -> float:
     over = problem._show_ups[1]
     if booking >= over.size:  # past the overbooking limit: the table grows to the 3 x capacity bound
         over = problem._bound_sweep[1]
-    low, high, tails = problem.demand_low.pmf, problem.demand_high.pmf, problem.demand_high.tails
+    low, high = problem.demand_low.pmf, problem.demand_high.pmf
     # P(a): the pmf below B - P, and the whole low-fare tail at a = B - P
     weight = np.append(low[:low_cap], math.fsum(low[low_cap:].tolist()))[: low.size]
     accepted = np.arange(weight.size)
     rest = np.minimum(booking - accepted, high.size)
+    tails = _tails(high)
     at_least = np.append(tails[0] + high[0], tails)
     band = np.zeros(weight.size + high.size - 1)
     band[: min(booking, band.size)] = over[: min(booking, band.size)]
     denied = np.correlate(band, high, "valid") + over[booking] * at_least[rest]
-    shows_high = problem.demand_high.tail_sums[rest]
+    shows_high = np.append(0.0, np.cumsum(tails))[rest]
     fares = problem.show_up_prob * (accepted * problem.fare_low * at_least[0] + shows_high * problem.fare_high)
     return math.fsum((weight * (fares - problem.denied_cost * denied)).tolist())
 

@@ -216,7 +216,7 @@ def overbooking_limit_search(problem):
 
 
 def expected_revenue_full_sweep(problem, policy):
-    """The one-dimensional expected revenue on the show-up sweep out to 3 x capacity, tails summed per call."""
+    """The one-dimensional expected revenue on the show-up sweep out to 3 x capacity, whatever the booking limit."""
     _check_policy(problem, policy)
     booking, low_cap = policy.booking_limit, policy.booking_limit - policy.protection_level
     _, over = show_up_sweep_loop(problem.capacity, problem.show_up_prob, OVERBOOKING_SEARCH_FACTOR * problem.capacity)

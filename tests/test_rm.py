@@ -117,16 +117,6 @@ class TestDemandModel:
         assert DemandModel.discrete([1.0]) != (1.0,)
         assert leg() == leg() and leg() != leg(demand_low=DemandModel.poisson(9))
 
-    def test_tails_are_summed_once_and_read_only(self):
-        model = DemandModel.poisson(40.0)
-        assert model.tails is model.tails and model.tail_sums is model.tail_sums
-        assert np.array_equal(model.tails, _tails(model.pmf))
-        assert np.array_equal(model.tail_sums, np.append(0.0, np.cumsum(_tails(model.pmf))))
-        for table in (model.tails, model.tail_sums):
-            assert not table.flags.writeable
-            with pytest.raises(ValueError):
-                table[0] = 0.5
-
     def test_poisson_reads_one_lgamma_table_in_any_build_order(self, monkeypatch):
         monkeypatch.setattr(rm, "_lgammas", np.zeros(0))
         for mean in (0.5, 3.7, 640.0, 2000.0, 80.0, 12.0, 0.9):  # small to large, then large to small
