@@ -38,6 +38,7 @@ class Route:
     fixed_cost_per_flight: float
     service_score: float
     tied_capital: float
+    fleet: str | None = None  # the fleet type the route must fly, else the most profitable one in range
 
     def __post_init__(self):
         if not self.id:
@@ -165,9 +166,11 @@ def required_frequency(demand_pax_per_week: float, seats: int, target_load_facto
         raise ValueError(f"seats must be >= 1, got {seats!r}")
     if demand_pax_per_week < 0:
         raise ValueError(f"demand must be >= 0, got {demand_pax_per_week!r}")
-    if demand_pax_per_week == 0:
-        return 0
-    return math.ceil(_flights(demand_pax_per_week, seats, target_load_factor))
+    flights = _flights(demand_pax_per_week, seats, target_load_factor)
+    if math.isinf(flights):
+        raise ValueError(f"demand {demand_pax_per_week!r} at load factor {target_load_factor!r} needs more flights "
+                         f"of {seats} seats a week than the float range holds")
+    return math.ceil(flights)
 
 
 def aircraft_required(flights_per_week: int, block_hours_per_flight: float, utilization: float) -> int:
@@ -180,8 +183,12 @@ def aircraft_required(flights_per_week: int, block_hours_per_flight: float, util
         raise ValueError(f"block hours must be > 0, got {block_hours_per_flight!r}")
     if flights_per_week == 0:
         return 0
+    aircraft = _aircraft(flights_per_week, block_hours_per_flight, utilization)
+    if math.isinf(aircraft):
+        raise ValueError(f"{float(flights_per_week)!r} flights a week of {block_hours_per_flight!r} block hours at "
+                         f"{utilization!r} block hours per aircraft need more aircraft than the float range holds")
     # a nonzero frequency needs an aircraft even where the product underflows to 0
-    return max(1, math.ceil(_aircraft(flights_per_week, block_hours_per_flight, utilization)))
+    return max(1, math.ceil(aircraft))
 
 
 def range_feasible(route: Route, fleet: FleetType) -> bool:
@@ -241,8 +248,9 @@ class RouteColumns:
     score: np.ndarray
 
 
-_ROUTE_NUMBERS = ("distance_km", "demand_pax_per_week", "average_fare", "block_hours_per_flight",
-                  "cost_per_block_hour", "fixed_cost_per_flight", "service_score", "tied_capital")
+#: The numeric fields of ``Route``: the scenario loader reads them as numbers, evaluate_routes as columns.
+ROUTE_NUMBERS = ("distance_km", "demand_pax_per_week", "average_fare", "block_hours_per_flight",
+                 "cost_per_block_hour", "fixed_cost_per_flight", "service_score", "tied_capital")
 _FLEET_NUMBERS = ("seats", "range_km", "utilization_block_hours_per_week")
 
 
@@ -254,11 +262,11 @@ def evaluate_routes(scenario) -> RouteColumns:
     fails raises what the scalar functions raise for it, at ``routes[<id>]``.
     """
     routes, fleets, weights, anchors = scenario.routes, scenario.fleets, scenario.weights, scenario.anchors
-    r = SimpleNamespace(**{name: np.array([getattr(x, name) for x in routes], float) for name in _ROUTE_NUMBERS})
+    r = SimpleNamespace(**{name: np.array([getattr(x, name) for x in routes], float) for name in ROUTE_NUMBERS})
     f = SimpleNamespace(**{name: np.array([getattr(x, name) for x in fleets], float)[:, None]
                            for name in _FLEET_NUMBERS})
     index = {fleet.name: k for k, fleet in enumerate(fleets)}
-    pins = np.array([index.get(scenario.pinned_fleets.get(route.id), -1) for route in routes], int)
+    pins = np.array([index.get(route.fleet, -1) for route in routes], int)
     candidates = np.where(pins >= 0, np.arange(len(fleets))[:, None] == pins, range_feasible(r, f))
     demand = r.demand_pax_per_week
     with np.errstate(all="ignore"):

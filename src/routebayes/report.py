@@ -14,7 +14,7 @@ import io
 import os
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat, starmap
 from operator import itemgetter
 from pathlib import Path
@@ -36,22 +36,11 @@ class Report:
     rm: dict | None = None
 
     def to_dict(self) -> dict:
-        doc = {"meta": self.meta}
-        for name in ("evaluation", "optimization", "plan", "rm"):
-            section = getattr(self, name)
-            if section is not None:
-                doc[name] = section
-        return doc
+        return {f.name: section for f in fields(self) if (section := getattr(self, f.name)) is not None}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Report":
-        return cls(
-            meta=doc["meta"],
-            evaluation=doc.get("evaluation"),
-            optimization=doc.get("optimization"),
-            plan=doc.get("plan"),
-            rm=doc.get("rm"),
-        )
+        return cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc})
 
 
 def report_to_json(report: Report) -> str:

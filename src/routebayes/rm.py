@@ -9,15 +9,16 @@ survivor beyond physical capacity costs a flat denied-boarding amount.
 Expectations are exact sums over the truncated demand distributions. A
 Poisson pmf is ``exp(k log(mean) - mean - lgamma(k + 1))`` over one shared
 lgamma table, cut at the smallest support whose tail mass is below 1e-9. Each
-leg sweeps its binomial show-up tails once, to the first booking that no
-longer pays (the overbooking limit, at most 3 x capacity), with the point mass
-as mantissa and binary exponent so it cannot underflow. Expected revenue is one ``fsum`` over a = min(D_low, B - P), the
-accepted low fares under booking limit B and protection P. The Monte Carlo
-path uses numpy's PCG64 generator seeded explicitly. A demand draw is the
-inverse CDF, found by an indexed (guide-table) search that returns exactly the
-binary-search index; draw order per trial is low demand, high demand, low
-show-ups, high show-ups, so identical inputs and seed reproduce summaries bit
-for bit.
+leg keeps one sweep of its binomial show-up tails, to the first booking that
+no longer pays (the overbooking limit, at most 3 x capacity; a call past it
+sweeps to 3 x capacity alone), with the point mass as mantissa and binary
+exponent so it cannot underflow. Expected revenue is one ``fsum`` over
+a = min(D_low, B - P), the accepted low fares under booking limit B and
+protection P. The Monte Carlo path uses numpy's PCG64 generator seeded
+explicitly. A demand draw is the inverse CDF, found by an indexed
+(guide-table) search that returns exactly the binary-search index; draw order
+per trial is low demand, high demand, low show-ups, high show-ups, so
+identical inputs and seed reproduce summaries bit for bit.
 """
 
 from __future__ import annotations
@@ -152,10 +153,6 @@ class LegRMProblem:
         bound = OVERBOOKING_SEARCH_FACTOR * self.capacity
         return _show_up_sweep(self.capacity, self.show_up_prob, bound, self.fare_low, self.denied_cost)
 
-    @cached_property
-    def _bound_sweep(self) -> tuple[np.ndarray, np.ndarray]:  # only for a booking limit past the overbooking limit
-        return _show_up_sweep(self.capacity, self.show_up_prob, OVERBOOKING_SEARCH_FACTOR * self.capacity)
-
 
 @dataclass(frozen=True)
 class RMPolicy:
@@ -228,11 +225,12 @@ def expected_revenue(problem: LegRMProblem, policy: RMPolicy) -> float:
     _check_policy(problem, policy)
     booking, low_cap = policy.booking_limit, policy.booking_limit - policy.protection_level
     over = problem._show_ups[1]
-    if booking >= over.size:  # past the overbooking limit: the table grows to the 3 x capacity bound
-        over = problem._bound_sweep[1]
+    if booking >= over.size:  # past the overbooking limit: this call sweeps to the 3 x capacity bound
+        over = _show_up_sweep(problem.capacity, problem.show_up_prob, OVERBOOKING_SEARCH_FACTOR * problem.capacity)[1]
     low, high = problem.demand_low.pmf, problem.demand_high.pmf
-    # P(a): the pmf below B - P, and the whole low-fare tail at a = B - P
-    weight = np.append(low[:low_cap], math.fsum(low[low_cap:].tolist()))[: low.size]
+    # P(a): the pmf below B - P, and the whole low-fare tail at a = B - P, whose zeros fsum can skip
+    tail = low[low_cap:]
+    weight = np.append(low[:low_cap], math.fsum(tail[tail > 0].tolist()))[: low.size]
     accepted = np.arange(weight.size)
     rest = np.minimum(booking - accepted, high.size)
     tails = _tails(high)

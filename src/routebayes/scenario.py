@@ -1,12 +1,10 @@
 """Scenario documents: JSON schema, validation, defaults, canonical serialization.
 
-A scenario is one self-contained JSON object with top-level keys
-``schema_version``, ``hypotheses``, ``weights``, ``constraints``, ``anchors``,
-``target_load_factor``, ``fleets``, ``availability``, ``routes``, ``rm_legs``
-and ``seed``. Everything except ``schema_version`` is optional; defaults are
-documented in the README. The parsed source document is kept on the Scenario
-so canonical re-serialization round-trips exactly for files written with at
-most 12 significant digits.
+A scenario is one self-contained JSON object whose top-level keys are the
+fields of ``Scenario`` other than ``source``, in that order. Everything except
+``schema_version`` is optional; defaults are documented in the README. The
+parsed source document is kept on the Scenario so canonical re-serialization
+round-trips exactly for files written with at most 12 significant digits.
 
 Validation has two layers. This module checks what no single value can know:
 JSON shape and types, unknown keys, duplicate ids, references between
@@ -26,12 +24,12 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .bayes import DEFAULT_DRIVERS, Hypothesis, HypothesisSet, WeightVector, uniform_weights, validate_simplex
-from .economics import AnchorPair, FleetType, Route, ScoringAnchors, range_feasible
+from .economics import ROUTE_NUMBERS, AnchorPair, FleetType, Route, ScoringAnchors, range_feasible
 from .errors import DanglingReference, IoError, ParseError, SchemaVersionUnsupported, ValidationError, at
 from .optimizer import BoxConstraints
 from .planner import FleetAvailability
@@ -40,21 +38,6 @@ from .rm import DemandModel, LegRMProblem
 SCHEMA_VERSION = "1"
 
 DEFAULT_TARGET_LOAD_FACTOR = 0.8
-
-_TOP_KEYS = (
-    "schema_version",
-    "hypotheses",
-    "weights",
-    "constraints",
-    "anchors",
-    "target_load_factor",
-    "fleets",
-    "availability",
-    "routes",
-    "rm_legs",
-    "seed",
-)
-
 
 @dataclass(frozen=True)
 class RMLeg:
@@ -75,10 +58,13 @@ class Scenario:
     fleets: tuple[FleetType, ...]
     availability: FleetAvailability
     routes: tuple[Route, ...]
-    pinned_fleets: dict[str, str]
     rm_legs: tuple[RMLeg, ...]
     seed: int
     source: dict = field(repr=False)
+
+
+#: The top-level keys of a scenario document, in canonical order.
+_TOP_KEYS = tuple(f.name for f in fields(Scenario) if f.name != "source")
 
 
 def _expect_object(value, path: str) -> dict:
@@ -134,27 +120,27 @@ _OPTIONAL = frozenset(
 )
 
 
-def _read(value, path: str, fields: dict) -> dict:
+def _read(value, path: str, table: dict) -> dict:
     """Read one record by its field table (key -> reader); absent optional keys are left out."""
     obj = _expect_object(value, path)
-    if not obj.keys() <= fields.keys():
-        _reject_unknown(obj, fields, path)
+    if not obj.keys() <= table.keys():
+        _reject_unknown(obj, table, path)
     return {key: read(obj.get(key), f"{path}.{key}")
-            for key, read in fields.items() if key in obj or key not in _OPTIONAL}
+            for key, read in table.items() if key in obj or key not in _OPTIONAL}
 
 
-def _read_list(doc: dict, section: str, fields: dict) -> list[tuple[str, dict]]:
-    """(path, fields) for each record of an optional top-level list."""
+def _read_list(doc: dict, section: str, table: dict) -> list[tuple[str, dict]]:
+    """(path, record) for each record of an optional top-level list."""
     entries = _expect_list(doc.get(section, []), section)
-    return [(f"{section}[{i}]", _read(entry, f"{section}[{i}]", fields)) for i, entry in enumerate(entries)]
+    return [(f"{section}[{i}]", _read(entry, f"{section}[{i}]", table)) for i, entry in enumerate(entries)]
 
 
 def _reject_duplicates(records: list[tuple[str, dict]], key: str, noun: str) -> None:
     seen = set()
-    for path, fields in records:
-        if fields[key] in seen:
-            raise ValidationError(f"{path}.{key}", f"duplicate {noun} {fields[key]!r}")
-        seen.add(fields[key])
+    for path, record in records:
+        if record[key] in seen:
+            raise ValidationError(f"{path}.{key}", f"duplicate {noun} {record[key]!r}")
+        seen.add(record[key])
 
 
 def _anchor_pair(value, path: str) -> AnchorPair:
@@ -184,11 +170,7 @@ _ROUTE = {
     "id": _expect_str,
     "origin": _expect_str,
     "destination": _expect_str,
-    **dict.fromkeys(
-        ("distance_km", "demand_pax_per_week", "average_fare", "block_hours_per_flight",
-         "cost_per_block_hour", "fixed_cost_per_flight", "service_score", "tied_capital"),
-        _expect_number,
-    ),
+    **dict.fromkeys(ROUTE_NUMBERS, _expect_number),
     "fleet": _expect_str,
 }
 _POISSON = {"kind": _expect_str, "mean": _expect_number}
@@ -237,7 +219,7 @@ def _parse_constraints(doc: dict, n: int) -> BoxConstraints | None:
 def _parse_fleets(doc: dict) -> tuple[FleetType, ...]:
     records = _read_list(doc, "fleets", _FLEET)
     _reject_duplicates(records, "name", "fleet name")
-    return tuple(at(path, FleetType, **fields) for path, fields in records)
+    return tuple(at(path, FleetType, **record) for path, record in records)
 
 
 def _parse_availability(doc: dict, fleets: tuple[FleetType, ...]) -> FleetAvailability:
@@ -249,39 +231,33 @@ def _parse_availability(doc: dict, fleets: tuple[FleetType, ...]) -> FleetAvaila
     return at("availability", FleetAvailability, counts)
 
 
-def _parse_routes(doc: dict, fleets: tuple[FleetType, ...]):
+def _parse_routes(doc: dict, fleets: tuple[FleetType, ...]) -> tuple[Route, ...]:
     records = _read_list(doc, "routes", _ROUTE)
     _reject_duplicates(records, "id", "route id")
     routes = []
-    pinned: dict[str, str] = {}
     by_name = {f.name: f for f in fleets}
-    for path, fields in records:
-        fleet_name = fields.pop("fleet", None)
-        route = at(path, Route, **fields)
-        if fleet_name is None:
+    for path, record in records:
+        route = at(path, Route, **record)
+        pinned = by_name.get(route.fleet)
+        if route.fleet is None:
             if not any(range_feasible(route, f) for f in fleets):
                 raise ValidationError(path, "no fleet with sufficient range for this route")
-        elif fleet_name not in by_name:
-            raise DanglingReference(f"{path}.fleet", f"unknown fleet {fleet_name!r}")
-        elif not range_feasible(route, by_name[fleet_name]):
-            raise ValidationError(
-                f"{path}.fleet",
-                f"fleet {fleet_name!r} ranges {by_name[fleet_name].range_km!r} km, "
-                f"route is {route.distance_km!r} km",
-            )
-        else:
-            pinned[route.id] = fleet_name
+        elif pinned is None:
+            raise DanglingReference(f"{path}.fleet", f"unknown fleet {route.fleet!r}")
+        elif not range_feasible(route, pinned):
+            raise ValidationError(f"{path}.fleet", f"fleet {route.fleet!r} ranges {pinned.range_km!r} km, "
+                                                   f"route is {route.distance_km!r} km")
         routes.append(route)
-    return tuple(routes), pinned
+    return tuple(routes)
 
 
 def _parse_rm_legs(doc: dict) -> tuple[RMLeg, ...]:
     records = _read_list(doc, "rm_legs", _LEG)
     _reject_duplicates(records, "id", "leg id")
     legs = []
-    for path, fields in records:
-        leg_id = fields.pop("id")
-        legs.append(RMLeg(leg_id, at(path, LegRMProblem, **fields)))
+    for path, record in records:
+        leg_id = record.pop("id")
+        legs.append(RMLeg(leg_id, at(path, LegRMProblem, **record)))
     return tuple(legs)
 
 
@@ -306,7 +282,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             raise ValidationError("target_load_factor", f"must be in (0, 1], got {target_lf!r}")
     fleets = _parse_fleets(doc)
     availability = _parse_availability(doc, fleets)
-    routes, pinned = _parse_routes(doc, fleets)
+    routes = _parse_routes(doc, fleets)
     if routes and len(hypotheses) != 3:
         raise ValidationError(
             "hypotheses",
@@ -327,7 +303,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
         fleets=fleets,
         availability=availability,
         routes=routes,
-        pinned_fleets=pinned,
         rm_legs=rm_legs,
         seed=seed,
         source={k: doc[k] for k in _TOP_KEYS if k in doc},

@@ -276,10 +276,19 @@ def evaluate_route_by_route(scenario):
 def sized_route(route, fleet, target_load_factor):
     """``(FleetRequirement, weekly profit)`` of flying ``route`` with ``fleet``."""
     demand = route.demand_pax_per_week
-    flights = 0 if demand == 0 else math.ceil(demand / (fleet.seats * target_load_factor))
+    flights = demand / (fleet.seats * target_load_factor)
+    if math.isinf(flights):
+        raise ValueError(f"demand {demand!r} at load factor {target_load_factor!r} needs more flights "
+                         f"of {fleet.seats} seats a week than the float range holds")
+    flights = 0 if demand == 0 else math.ceil(flights)
     if flights == 0:
         return FleetRequirement(0, 0, 0.0), 0.0
-    aircraft = max(1, math.ceil(flights * route.block_hours_per_flight / fleet.utilization_block_hours_per_week))
+    aircraft = flights * route.block_hours_per_flight / fleet.utilization_block_hours_per_week
+    if math.isinf(aircraft):
+        raise ValueError(f"{float(flights)!r} flights a week of {route.block_hours_per_flight!r} block hours at "
+                         f"{fleet.utilization_block_hours_per_week!r} block hours per aircraft need more aircraft "
+                         "than the float range holds")
+    aircraft = max(1, math.ceil(aircraft))
     if math.isinf(flights * float(fleet.seats)):
         raise ValueError(f"demand {demand!r} needs {float(flights)!r} flights of {fleet.seats} "
                          "seats a week, more seats than the float range holds")
@@ -299,7 +308,7 @@ def route_likelihoods(route, profit, anchors):
 
 
 def _route_figures(scenario, route):
-    pinned = scenario.pinned_fleets.get(route.id)
+    pinned = route.fleet
     options = [
         (fleet, *sized_route(route, fleet, scenario.target_load_factor))
         for fleet in scenario.fleets

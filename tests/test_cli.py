@@ -138,7 +138,9 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("name,reason", [
-        ("overflow_frequency.json", "cannot convert float infinity to integer"),
+        ("overflow_frequency.json", "a week of 5.0 block hours at 70.0 block hours per aircraft need more aircraft"),
+        ("overflow_aircraft.json", "100000000000.0 block hours at 70.0 block hours per aircraft need more aircraft"),
+        ("overflow_flights.json", "needs more flights of 180 seats a week than the float range holds"),
         ("overflow_profit.json", "not finite: nan"),
         ("overflow_route_revenue.json", "profit is not finite: inf"),
     ])

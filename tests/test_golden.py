@@ -70,3 +70,11 @@ def test_printed_report_matches_golden(path, format, suffix):
 def test_every_float_is_rounded_where_its_section_is_built(path):
     doc = build(path).to_dict()
     assert round_tree(doc) == doc
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_golden_report_survives_dict_round_trip(path):
+    doc = json.loads((GOLDEN / path.name).read_text(encoding="utf-8"))
+    report = Report.from_dict(doc)
+    assert Report.from_dict(report.to_dict()) == report
+    assert json.dumps(report.to_dict()) == json.dumps(doc)

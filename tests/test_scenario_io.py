@@ -14,6 +14,7 @@ from routebayes.errors import (
     ValidationError,
 )
 from routebayes.scenario import (
+    _TOP_KEYS,
     DEFAULT_TARGET_LOAD_FACTOR,
     dump_scenario,
     load_scenario,
@@ -115,6 +116,16 @@ class TestValidation:
         with pytest.raises(ValidationError) as info:
             scenario_from_dict(doc)
         assert info.value.path == "routes[0].fleet"
+
+    def test_pinned_fleet_is_read_into_the_route(self):
+        doc = minimal_doc()
+        doc["routes"].append(dict(doc["routes"][0], id="pinned", fleet="jet"))
+        assert [route.fleet for route in scenario_from_dict(doc).routes] == [None, "jet"]
+
+    def test_top_level_keys_are_the_scenario_fields(self):
+        # a new Scenario field becomes a schema key only by changing this list
+        assert _TOP_KEYS == ("schema_version", "hypotheses", "weights", "constraints", "anchors",
+                             "target_load_factor", "fleets", "availability", "routes", "rm_legs", "seed")
 
     def test_route_without_capable_fleet(self):
         doc = minimal_doc()
