@@ -14,7 +14,7 @@ helpers, so the two agree bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -158,7 +158,7 @@ def _scores(route, profit, anchors: ScoringAnchors) -> list:  # (service, capita
 def required_frequency(demand_pax_per_week: float, seats: int, target_load_factor: float) -> int:
     """Weekly flights needed to carry the demand at the target load factor.
 
-    ceil(demand / (seats * target_load_factor)); zero demand needs zero flights.
+    ceil(demand / (seats * target_load_factor)), at least 1 for a positive demand; zero demand needs none.
     """
     if not (0.0 < target_load_factor <= 1.0):
         raise ValueError(f"target load factor must be in (0, 1], got {target_load_factor!r}")
@@ -170,7 +170,7 @@ def required_frequency(demand_pax_per_week: float, seats: int, target_load_facto
     if math.isinf(flights):
         raise ValueError(f"demand {demand_pax_per_week!r} at load factor {target_load_factor!r} needs more flights "
                          f"of {seats} seats a week than the float range holds")
-    return math.ceil(flights)
+    return max(1, math.ceil(flights)) if demand_pax_per_week > 0 else 0
 
 
 def aircraft_required(flights_per_week: int, block_hours_per_flight: float, utilization: float) -> int:
@@ -248,10 +248,9 @@ class RouteColumns:
     score: np.ndarray
 
 
-#: The numeric fields of ``Route``: the scenario loader reads them as numbers, evaluate_routes as columns.
-ROUTE_NUMBERS = ("distance_km", "demand_pax_per_week", "average_fare", "block_hours_per_flight",
-                 "cost_per_block_hour", "fixed_cost_per_flight", "service_score", "tied_capital")
-_FLEET_NUMBERS = ("seats", "range_km", "utilization_block_hours_per_week")
+#: The numeric fields of ``Route`` and of ``FleetType``, which evaluate_routes reads as columns.
+ROUTE_NUMBERS = tuple(f.name for f in fields(Route) if f.type == "float")
+_FLEET_NUMBERS = tuple(f.name for f in fields(FleetType) if f.type in ("int", "float"))
 
 
 def evaluate_routes(scenario) -> RouteColumns:
@@ -270,7 +269,7 @@ def evaluate_routes(scenario) -> RouteColumns:
     candidates = np.where(pins >= 0, np.arange(len(fleets))[:, None] == pins, range_feasible(r, f))
     demand = r.demand_pax_per_week
     with np.errstate(all="ignore"):
-        flights = np.ceil(_flights(demand, f.seats, scenario.target_load_factor))
+        flights = np.maximum(np.ceil(_flights(demand, f.seats, scenario.target_load_factor)), demand > 0)
         aircraft = np.ceil(_aircraft(flights, r.block_hours_per_flight, f.utilization_block_hours_per_week))
         aircraft = np.maximum(aircraft, flights > 0)  # at least one for a nonzero frequency, as in aircraft_required
         idle = flights == 0

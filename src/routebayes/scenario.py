@@ -13,8 +13,10 @@ and the seed. Each record is read by one field table (key -> reader) and
 handed to its domain constructor (``Route``, ``FleetType``, ``AnchorPair``,
 ``ScoringAnchors``, ``FleetAvailability``, ``HypothesisSet``,
 ``validate_simplex``, ``BoxConstraints``, ``DemandModel``, ``LegRMProblem``),
-which owns every value range and every default; an optional key that is
-absent is not passed. ``errors.at`` turns a constructor's ValueError into a
+which owns every value range and every default. The field tables are derived
+from the constructors' dataclass fields: a field's annotation picks its
+reader, and a field with a default is a key that may be absent, which is
+then not passed. ``errors.at`` turns a constructor's ValueError into a
 ValidationError at the record's path; InfeasibleConstraints passes through
 with its own exit code.
 """
@@ -24,12 +26,12 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .bayes import DEFAULT_DRIVERS, Hypothesis, HypothesisSet, WeightVector, uniform_weights, validate_simplex
-from .economics import ROUTE_NUMBERS, AnchorPair, FleetType, Route, ScoringAnchors, range_feasible
+from .economics import AnchorPair, FleetType, Route, ScoringAnchors, range_feasible
 from .errors import DanglingReference, IoError, ParseError, SchemaVersionUnsupported, ValidationError, at
 from .optimizer import BoxConstraints
 from .planner import FleetAvailability
@@ -114,12 +116,6 @@ def _reject_unknown(obj: dict, allowed, path: str) -> None:
             raise ValidationError(f"{path}.{key}" if path else key, "unknown key")
 
 
-#: Record keys that may be absent. Every other key in a field table is required.
-_OPTIONAL = frozenset(
-    ("label", "description", "service", "capital", "cost", "epsilon", "fleet", "show_up_prob", "denied_cost")
-)
-
-
 def _read(value, path: str, table: dict) -> dict:
     """Read one record by its field table (key -> reader); absent optional keys are left out."""
     obj = _expect_object(value, path)
@@ -129,18 +125,16 @@ def _read(value, path: str, table: dict) -> dict:
             for key, read in table.items() if key in obj or key not in _OPTIONAL}
 
 
-def _read_list(doc: dict, section: str, table: dict) -> list[tuple[str, dict]]:
-    """(path, record) for each record of an optional top-level list."""
+def _read_list(doc: dict, section: str, table: dict, key: str, noun: str) -> list[tuple[str, dict]]:
+    """(path, record) for each record of an optional top-level list, whose ``key`` values must differ."""
     entries = _expect_list(doc.get(section, []), section)
-    return [(f"{section}[{i}]", _read(entry, f"{section}[{i}]", table)) for i, entry in enumerate(entries)]
-
-
-def _reject_duplicates(records: list[tuple[str, dict]], key: str, noun: str) -> None:
+    records = [(f"{section}[{i}]", _read(entry, f"{section}[{i}]", table)) for i, entry in enumerate(entries)]
     seen = set()
     for path, record in records:
         if record[key] in seen:
             raise ValidationError(f"{path}.{key}", f"duplicate {noun} {record[key]!r}")
         seen.add(record[key])
+    return records
 
 
 def _anchor_pair(value, path: str) -> AnchorPair:
@@ -156,35 +150,28 @@ def _parse_demand(value, path: str) -> DemandModel:
     raise ValidationError(f"{path}.kind", f"must be 'poisson' or 'discrete', got {kind!r}")
 
 
-_HYPOTHESIS = {"id": _expect_str, "label": _expect_text, "description": _expect_text}
-_CONSTRAINTS = {"lower": _expect_numbers, "upper": _expect_numbers}
-_ANCHOR_PAIR = {"worst": _expect_number, "best": _expect_number}
-_ANCHORS = {"service": _anchor_pair, "capital": _anchor_pair, "cost": _anchor_pair, "epsilon": _expect_number}
-_FLEET = {
-    "name": _expect_str,
-    "seats": _expect_int,
-    "range_km": _expect_number,
-    "utilization_block_hours_per_week": _expect_number,
-}
-_ROUTE = {
-    "id": _expect_str,
-    "origin": _expect_str,
-    "destination": _expect_str,
-    **dict.fromkeys(ROUTE_NUMBERS, _expect_number),
-    "fleet": _expect_str,
-}
+#: The reader of a record field, by the field's annotation text.
+_READERS = {"str": _expect_str, "str | None": _expect_str, "int": _expect_int, "float": _expect_number,
+            "tuple[float, ...]": _expect_numbers, "AnchorPair": _anchor_pair, "DemandModel": _parse_demand}
+
+
+def _fields(cls, **readers) -> dict:
+    """The field table of ``cls``: each field, in order, read by ``readers[name]`` or else by its annotation."""
+    return {f.name: readers.get(f.name) or _READERS[f.type] for f in fields(cls)}
+
+
+_RECORDS = (Hypothesis, BoxConstraints, AnchorPair, ScoringAnchors, FleetType, Route, LegRMProblem)
+_HYPOTHESIS = _fields(Hypothesis, label=_expect_text, description=_expect_text)
+_CONSTRAINTS = _fields(BoxConstraints)
+_ANCHOR_PAIR = _fields(AnchorPair)
+_ANCHORS = _fields(ScoringAnchors)
+_FLEET = _fields(FleetType)
+_ROUTE = _fields(Route)
 _POISSON = {"kind": _expect_str, "mean": _expect_number}
 _DISCRETE = {"kind": _expect_str, "pmf": _expect_numbers}
-_LEG = {
-    "id": _expect_str,
-    "capacity": _expect_int,
-    "fare_high": _expect_number,
-    "fare_low": _expect_number,
-    "demand_high": _parse_demand,
-    "demand_low": _parse_demand,
-    "show_up_prob": _expect_number,
-    "denied_cost": _expect_number,
-}
+_LEG = {"id": _expect_str, **_fields(LegRMProblem)}
+#: Record keys that may be absent: the fields with a default. Every other key in a field table is required.
+_OPTIONAL = frozenset(f.name for cls in _RECORDS for f in fields(cls) if f.default is not MISSING)
 
 
 def _parse_hypotheses(doc: dict) -> HypothesisSet:
@@ -217,9 +204,8 @@ def _parse_constraints(doc: dict, n: int) -> BoxConstraints | None:
 
 
 def _parse_fleets(doc: dict) -> tuple[FleetType, ...]:
-    records = _read_list(doc, "fleets", _FLEET)
-    _reject_duplicates(records, "name", "fleet name")
-    return tuple(at(path, FleetType, **record) for path, record in records)
+    return tuple(at(path, FleetType, **record)
+                 for path, record in _read_list(doc, "fleets", _FLEET, "name", "fleet name"))
 
 
 def _parse_availability(doc: dict, fleets: tuple[FleetType, ...]) -> FleetAvailability:
@@ -232,11 +218,9 @@ def _parse_availability(doc: dict, fleets: tuple[FleetType, ...]) -> FleetAvaila
 
 
 def _parse_routes(doc: dict, fleets: tuple[FleetType, ...]) -> tuple[Route, ...]:
-    records = _read_list(doc, "routes", _ROUTE)
-    _reject_duplicates(records, "id", "route id")
     routes = []
     by_name = {f.name: f for f in fleets}
-    for path, record in records:
+    for path, record in _read_list(doc, "routes", _ROUTE, "id", "route id"):
         route = at(path, Route, **record)
         pinned = by_name.get(route.fleet)
         if route.fleet is None:
@@ -252,13 +236,8 @@ def _parse_routes(doc: dict, fleets: tuple[FleetType, ...]) -> tuple[Route, ...]
 
 
 def _parse_rm_legs(doc: dict) -> tuple[RMLeg, ...]:
-    records = _read_list(doc, "rm_legs", _LEG)
-    _reject_duplicates(records, "id", "leg id")
-    legs = []
-    for path, record in records:
-        leg_id = record.pop("id")
-        legs.append(RMLeg(leg_id, at(path, LegRMProblem, **record)))
-    return tuple(legs)
+    return tuple(RMLeg(record.pop("id"), at(path, LegRMProblem, **record))
+                 for path, record in _read_list(doc, "rm_legs", _LEG, "id", "leg id"))
 
 
 def scenario_from_dict(doc: dict) -> Scenario:

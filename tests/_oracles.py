@@ -280,7 +280,7 @@ def sized_route(route, fleet, target_load_factor):
     if math.isinf(flights):
         raise ValueError(f"demand {demand!r} at load factor {target_load_factor!r} needs more flights "
                          f"of {fleet.seats} seats a week than the float range holds")
-    flights = 0 if demand == 0 else math.ceil(flights)
+    flights = 0 if demand == 0 else max(1, math.ceil(flights))
     if flights == 0:
         return FleetRequirement(0, 0, 0.0), 0.0
     aircraft = flights * route.block_hours_per_flight / fleet.utilization_block_hours_per_week

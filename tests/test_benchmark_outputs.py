@@ -3,8 +3,10 @@
 ``perfbench/gen.py`` writes each workload's inputs, and ``perfbench/checks.py``
 checks a report against the README's formulas without calling routebayes. The
 benchmark applies these checks to every report it times, so a wrong report
-fails here before it fails a benchmark run. Both modules are only imported;
-the inputs go to a temporary directory.
+fails here before it fails a benchmark run. ``perfbench/worker.py``'s traced
+operation reads names of routebayes beyond the public pipeline, so it runs
+here too. These modules are only imported; the inputs go to a temporary
+directory.
 """
 
 import json
@@ -21,7 +23,7 @@ sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
 import checks  # noqa: E402
 import gen  # noqa: E402
 from run import TRIALS  # noqa: E402
-from worker import STAGES  # noqa: E402
+from worker import STAGES, Tracer, traced_op  # noqa: E402
 
 
 @pytest.mark.parametrize("workload", ["cli_cold", "plan_exact", "rm_legs"])
@@ -33,3 +35,11 @@ def test_reports_pass_the_benchmark_checks(workload, tmp_path):
         problems += [f"{path.name}: {problem}"
                      for problem in checks.check_report(doc, report, kind, TRIALS, exact=workload == "plan_exact")]
     assert problems == []
+
+
+@pytest.mark.parametrize("workload", ["cli_cold", "plan_exact", "rm_legs"])
+def test_traced_operation_runs(workload, tmp_path):
+    ops = gen.generate(workload, 1, tmp_path / "inputs")
+    first = {kind: path for kind, path in reversed(ops)}  # the first operation of each kind
+    for kind, path in first.items():
+        assert traced_op(Tracer(), kind, path, tmp_path / f"{kind}.json")

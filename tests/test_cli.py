@@ -165,6 +165,19 @@ class TestExitCodes:
         (row,) = [r for r in routes if r["route_id"] == "hub_coastal"]
         assert row["flights_per_week"] > 0 and row["aircraft"] == 1
 
+    def test_underflowing_flight_count_plans(self, tmp_path, capsys):
+        # demand / (seats x load factor) underflows to 0, but a positive demand needs a flight
+        doc = json.loads(Path(DEMO).read_text())
+        doc["routes"][0]["demand_pax_per_week"] = 5e-324
+        path = write(tmp_path, doc)
+        assert main(["validate", "--scenario", path]) == 0
+        capsys.readouterr()
+        assert main(["plan", "--scenario", path, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        (row,) = [r for r in report["evaluation"]["routes"] if r["route_id"] == "hub_coastal"]
+        assert row["flights_per_week"] == 1 and row["aircraft"] == 1 and row["profit"] < 0
+        assert "hub_coastal" not in report["plan"]["selected"]
+
     def test_seats_past_the_float_range_is_one(self, tmp_path, capsys):
         doc = json.loads(Path(DEMO).read_text())
         doc["target_load_factor"] = 0.001

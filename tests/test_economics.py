@@ -53,6 +53,10 @@ class TestRequiredFrequency:
     def test_exactly_one_full_flight(self):
         assert required_frequency(144, 180, 0.8) == 1
 
+    def test_underflowing_quotient_still_needs_one_flight(self):
+        assert type(required_frequency(5e-324, 180, 0.8)) is int
+        assert required_frequency(5e-324, 180, 0.8) == 1
+
     def test_invalid_load_factor(self):
         with pytest.raises(ValueError, match="target load factor must be in"):
             required_frequency(100, 180, 0.0)
@@ -201,7 +205,8 @@ def test_ceiling_consistency(demand, seats, lf):
         assert flights == 0
     else:
         quotient = demand / (seats * lf)
-        assert flights - 1 < quotient <= flights
+        # a positive demand whose quotient underflows to 0 still needs one flight
+        assert flights - 1 < quotient <= flights or (quotient == 0 and flights == 1)
 
 
 @given(

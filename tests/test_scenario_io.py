@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,16 @@ from routebayes.errors import (
     ValidationError,
 )
 from routebayes.scenario import (
+    _ANCHOR_PAIR,
+    _ANCHORS,
+    _CONSTRAINTS,
+    _DISCRETE,
+    _FLEET,
+    _HYPOTHESIS,
+    _LEG,
+    _OPTIONAL,
+    _POISSON,
+    _ROUTE,
     _TOP_KEYS,
     DEFAULT_TARGET_LOAD_FACTOR,
     dump_scenario,
@@ -214,6 +225,7 @@ def _twice(section):
 # One case per rejection rule: (case id, mutation of minimal_doc(), error type, error path).
 REJECTIONS = [
     ("record-type", _set(("routes", 0), 5), ValidationError, "routes[0]"),
+    ("section-type", _set(("routes",), {}), ValidationError, "routes"),
     ("unknown-top-key", _set(("surprise",), 1), ValidationError, "surprise"),
     ("weights-sum", _set(("weights",), [0.5, 0.5, 0.1]), ValidationError, "weights"),
     ("weights-negative", _set(("weights",), [0.6, -0.1, 0.5]), ValidationError, "weights"),
@@ -225,6 +237,8 @@ REJECTIONS = [
     ("hypothesis-id", _set(("hypotheses",), [{"label": "a"}]), ValidationError, "hypotheses[0].id"),
     ("hypothesis-key", _set(("hypotheses",), [{"id": "a", "color": "red"}]),
      ValidationError, "hypotheses[0].color"),
+    ("hypothesis-label", _set(("hypotheses",), [{"id": "a", "label": 5}, {"id": "b"}, {"id": "c"}]),
+     ValidationError, "hypotheses[0].label"),
     ("three-drivers", _set(("hypotheses",), [{"id": "a"}, {"id": "b"}]), ValidationError, "hypotheses"),
     ("anchors-degenerate", _set(("anchors",), {"service": {"worst": 1, "best": 1}}),
      ValidationError, "anchors.service"),
@@ -237,9 +251,16 @@ REJECTIONS = [
     ("fleet-seats", _set(("fleets", 0, "seats"), 0), ValidationError, "fleets[0]"),
     ("fleet-seats-type", _set(("fleets", 0, "seats"), 150.5), ValidationError, "fleets[0].seats"),
     ("fleet-range", _set(("fleets", 0, "range_km"), -1), ValidationError, "fleets[0]"),
+    ("fleet-utilization", _set(("fleets", 0, "utilization_block_hours_per_week"), 0), ValidationError, "fleets[0]"),
     ("fleet-duplicate", _twice("fleets"), ValidationError, "fleets[1].name"),
     ("route-distance", _route(distance_km=-5), ValidationError, "routes[0]"),
     ("route-service", _route(service_score=1.5), ValidationError, "routes[0]"),
+    ("route-block-hours", _route(block_hours_per_flight=0), ValidationError, "routes[0]"),
+    ("route-demand", _route(demand_pax_per_week=-1), ValidationError, "routes[0]"),
+    ("route-fare", _route(average_fare=-1), ValidationError, "routes[0]"),
+    ("route-cost", _route(cost_per_block_hour=-1), ValidationError, "routes[0]"),
+    ("route-fixed-cost", _route(fixed_cost_per_flight=-1), ValidationError, "routes[0]"),
+    ("route-capital", _route(tied_capital=-1), ValidationError, "routes[0]"),
     ("route-missing", lambda doc: doc["routes"][0].pop("average_fare"), ValidationError,
      "routes[0].average_fare"),
     ("route-origin", _route(origin=""), ValidationError, "routes[0].origin"),
@@ -288,6 +309,80 @@ def test_rejection_table(mutate, error, path):
         scenario_from_dict(doc)
     assert type(info.value) is error
     assert getattr(info.value, "path", None) == path
+
+
+def test_document_must_be_an_object():
+    with pytest.raises(ValidationError) as info:
+        scenario_from_dict(["schema_version", "1"])
+    assert info.value.path == "$"
+
+
+def test_first_bad_field_in_field_order_is_reported():
+    doc = minimal_doc()
+    doc["routes"][0].update(distance_km="far", tied_capital="all")
+    doc["routes"][0] = dict(reversed(doc["routes"][0].items()))  # the document order is not the field order
+    with pytest.raises(ValidationError) as info:
+        scenario_from_dict(doc)
+    assert info.value.path == "routes[0].distance_km"
+
+
+def test_earlier_route_fault_is_reported_first():
+    doc = minimal_doc()
+    doc["routes"].append(dict(doc["routes"][0], id="second", demand_pax_per_week=-1))
+    doc["routes"][0]["distance_km"] = 4500
+    with pytest.raises(ValidationError) as info:
+        scenario_from_dict(doc)
+    assert info.value.path == "routes[0]"
+    assert "no fleet with sufficient range" in str(info.value)
+
+
+#: Each record's field table, by the record's name in the README's table of record keys.
+FIELD_TABLES = {
+    "hypothesis": _HYPOTHESIS,
+    "constraints": _CONSTRAINTS,
+    "anchors": _ANCHORS,
+    "anchor pair": _ANCHOR_PAIR,
+    "fleet": _FLEET,
+    "route": _ROUTE,
+    "RM leg": _LEG,
+    "Poisson demand": _POISSON,
+    "discrete demand": _DISCRETE,
+}
+
+
+def test_field_tables_are_pinned():
+    # a dataclass edit changes what a scenario may contain only by changing this table
+    pinned = {name: [f"{key}{'?' * (key in _OPTIONAL)} {read.__name__}" for key, read in table.items()]
+              for name, table in FIELD_TABLES.items()}
+    assert pinned == {
+        "hypothesis": ["id _expect_str", "label? _expect_text", "description? _expect_text"],
+        "constraints": ["lower _expect_numbers", "upper _expect_numbers"],
+        "anchors": ["service? _anchor_pair", "capital? _anchor_pair", "cost? _anchor_pair",
+                    "epsilon? _expect_number"],
+        "anchor pair": ["worst _expect_number", "best _expect_number"],
+        "fleet": ["name _expect_str", "seats _expect_int", "range_km _expect_number",
+                  "utilization_block_hours_per_week _expect_number"],
+        "route": ["id _expect_str", "origin _expect_str", "destination _expect_str", "distance_km _expect_number",
+                  "demand_pax_per_week _expect_number", "average_fare _expect_number",
+                  "block_hours_per_flight _expect_number", "cost_per_block_hour _expect_number",
+                  "fixed_cost_per_flight _expect_number", "service_score _expect_number",
+                  "tied_capital _expect_number", "fleet? _expect_str"],
+        "RM leg": ["id _expect_str", "capacity _expect_int", "fare_high _expect_number", "fare_low _expect_number",
+                   "demand_high _parse_demand", "demand_low _parse_demand", "show_up_prob? _expect_number",
+                   "denied_cost? _expect_number"],
+        "Poisson demand": ["kind _expect_str", "mean _expect_number"],
+        "discrete demand": ["kind _expect_str", "pmf _expect_numbers"],
+    }
+    assert _OPTIONAL == {"label", "description", "service", "capital", "cost", "epsilon", "fleet", "show_up_prob",
+                         "denied_cost"}
+
+
+def test_readme_lists_every_record_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| ([A-Za-z ]+) \| `[\w.]+` \| (`.+) \|$", readme, re.M)
+    listed = {name: re.findall(r"`(\w+)`(\??)", keys) for name, keys in rows}
+    assert listed == {name: [(key, "?" if key in _OPTIONAL else "") for key in table]
+                      for name, table in FIELD_TABLES.items()}
 
 
 class TestFileHandling:
