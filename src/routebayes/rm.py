@@ -7,12 +7,13 @@ rest of the booking limit. Accepted passengers show up independently with
 survivor beyond physical capacity costs a flat denied-boarding amount.
 
 Expectations are exact sums over the truncated demand distributions. A
-Poisson pmf is ``exp(k log(mean) - mean - lgamma(k + 1))`` over one shared
-lgamma table, cut at the smallest support whose tail mass is below 1e-9. Each
-leg keeps one sweep of its binomial show-up tails, to the first booking that
-no longer pays (the overbooking limit, at most 3 x capacity; a call past it
-sweeps to 3 x capacity alone), with the point mass as mantissa and binary
-exponent so it cannot underflow. Expected revenue is one ``fsum`` over
+Poisson pmf is ``exp(k log(mean) - mean - lgamma(k + 1))``, with lgamma taken
+for that model alone and nothing kept between models, cut at the smallest
+support whose tail mass is below 1e-9. Each leg keeps one sweep of its
+binomial show-up tails, to the first booking that no longer pays (the
+overbooking limit, at most 3 x capacity; a call past it sweeps to 3 x capacity
+alone), with the point mass as mantissa and binary exponent so it cannot
+underflow. Expected revenue is one ``fsum``, largest term first, over
 a = min(D_low, B - P), the accepted low fares under booking limit B and
 protection P. The Monte Carlo path uses numpy's PCG64 generator seeded
 explicitly. A demand draw is the inverse CDF, found by an indexed
@@ -26,36 +27,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count, repeat
 
 import numpy as np
 
 TAIL_MASS = 1e-9
 OVERBOOKING_SEARCH_FACTOR = 3
 #: Largest work a leg may ask for: the Poisson support built before truncation
-#: (and so the shared lgamma table), the show-up sweep's 3 x capacity bound on
+#: (and so its lgamma values), the show-up sweep's 3 x capacity bound on
 #: any booking limit, and |D_low| x |D_high|, which bounds the multiply-adds of
 #: expected_revenue's denied-boarding correlation, each stay within this many cells.
 MAX_RM_CELLS = 10**6
 #: Most Monte Carlo trials per leg: simulate_leg peaks at 13 arrays of 8 bytes per trial, 104 MB here.
 MAX_TRIALS = 10**6
-
-
-_lgammas = np.zeros(0)  # lgamma(k + 1) for k = 0, 1, ...: one read-only table per process, grown on demand
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
-def _log_factorials(size: int) -> np.ndarray:
-    """lgamma(k + 1) for k < size, from the shared table, extended by math.lgamma as far as size."""
-    global _lgammas
-    table = _lgammas  # read once: a concurrent extension replaces the global, never this array
-    if table.size < size:
-        more = np.fromiter(map(math.lgamma, np.arange(table.size + 1.0, size + 1.0)), float)
-        table = _lgammas = _read_only(np.append(table, more))
-    return table[:size]
 
 
 def _tails(pmf) -> np.ndarray:
@@ -70,7 +54,9 @@ class DemandModel:
     pmf: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "pmf", _read_only(np.array(self.pmf, float)))  # a copy, never a caller's view
+        pmf = np.array(self.pmf, float)  # a copy, never a caller's view
+        pmf.flags.writeable = False
+        object.__setattr__(self, "pmf", pmf)
 
     def __eq__(self, other):
         return np.array_equal(self.pmf, other.pmf) if isinstance(other, DemandModel) else NotImplemented
@@ -86,7 +72,8 @@ class DemandModel:
         size = int(mean + 40 * math.sqrt(mean)) + 61
         if size > MAX_RM_CELLS:
             raise ValueError(f"poisson mean {mean!r} needs {size} support points, over the limit of {MAX_RM_CELLS}")
-        pmf = np.exp(np.arange(size) * math.log(mean) - _log_factorials(size) - mean)
+        log_factorials = map(math.lgamma, count(1.0))  # lgamma(k + 1), an array only inside the sum
+        pmf = np.exp(np.arange(size) * math.log(mean) - np.fromiter(log_factorials, float, size) - mean)
         return cls(pmf[: int(np.argmax(_tails(pmf) < TAIL_MASS)) + 1])
 
     @classmethod
@@ -197,12 +184,15 @@ def _show_up_sweep(capacity: int, p: float, max_booked: int,
     mass is carried as a mantissa and a binary exponent because its start,
     p**(capacity - 1), underflows at large capacities and low show-up rates. M is
     the first m >= capacity failing fare_low - denied_cost * full[m] > 0, else max_booked.
+    The start multiplies p in chunks short enough that every running product stays normal (p**chunk >=
+    2**-900), where it rounds as the step-by-step product, a power of two away, does: the same bits.
     """
     frexp, ldexp, q = math.frexp, math.ldexp, 1.0 - p
     full = [0.0] * capacity
     mantissa, exponent = 1.0, 0
-    for _ in range(capacity - 1):
-        mantissa, shift = frexp(mantissa * p)
+    chunk = capacity if p == 1.0 else max(1, int(900 / -math.log2(p)))
+    for done in range(0, capacity - 1, chunk):
+        mantissa, shift = frexp(math.prod(repeat(p, min(chunk, capacity - 1 - done)), start=mantissa))
         exponent += shift
     for m in range(capacity - 1, max_booked):
         full.append(full[-1] + p * ldexp(mantissa, exponent))
@@ -212,6 +202,12 @@ def _show_up_sweep(capacity: int, p: float, max_booked: int,
         exponent += shift
     full = np.array(full)
     return full, np.append(0.0, np.cumsum(p * full[:-1]))
+
+
+def _fsum_largest_first(values: list[float]) -> float:
+    """math.fsum(values), fed largest magnitude first: fsum rounds correctly whatever the order, and this
+    order keeps its partials few. Only an intermediate overflow can tell the orders apart."""
+    return math.fsum(sorted(values, key=abs, reverse=True))
 
 
 def expected_revenue(problem: LegRMProblem, policy: RMPolicy) -> float:
@@ -240,7 +236,7 @@ def expected_revenue(problem: LegRMProblem, policy: RMPolicy) -> float:
     denied = np.correlate(band, high, "valid") + over[booking] * at_least[rest]
     shows_high = np.append(0.0, np.cumsum(tails))[rest]
     fares = problem.show_up_prob * (accepted * problem.fare_low * at_least[0] + shows_high * problem.fare_high)
-    return math.fsum((weight * (fares - problem.denied_cost * denied)).tolist())
+    return _fsum_largest_first((weight * (fares - problem.denied_cost * denied)).tolist())
 
 
 def overbooking_limit(problem: LegRMProblem) -> int:

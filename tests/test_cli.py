@@ -202,6 +202,20 @@ class TestExitCodes:
         assert err.startswith("error: stage rm: rm_legs[hub_capital_leg]: overflow encountered")
         assert "Traceback" not in err
 
+    def test_rm_terms_summing_past_the_float_range_is_one(self, tmp_path, capsys):
+        doc = json.loads(Path(DEMO).read_text())
+        # each revenue term is finite, about half the float range, and the two sum past it in any order
+        doc["rm_legs"][0].update(fare_low=1.0, fare_high=1.7976931347e308, show_up_prob=1.0, denied_cost=0,
+                                 demand_low={"kind": "discrete", "pmf": [0.5, 0.5000000009]},
+                                 demand_high={"kind": "discrete", "pmf": [0.0, 1.0]})
+        path = write(tmp_path, doc)
+        assert main(["validate", "--scenario", path]) == 0
+        capsys.readouterr()
+        assert main(["rm", "--scenario", path, "--format", "json"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: stage rm: rm_legs[hub_capital_leg]: intermediate overflow in fsum\n"
+
     def test_plan_scores_past_the_float_range_is_one(self, tmp_path, capsys):
         doc = json.loads(Path(DEMO).read_text())
         for route in doc["routes"]:

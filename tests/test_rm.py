@@ -117,14 +117,16 @@ class TestDemandModel:
         assert DemandModel.discrete([1.0]) != (1.0,)
         assert leg() == leg() and leg() != leg(demand_low=DemandModel.poisson(9))
 
-    def test_poisson_reads_one_lgamma_table_in_any_build_order(self, monkeypatch):
-        monkeypatch.setattr(rm, "_lgammas", np.zeros(0))
+    def test_poisson_matches_the_direct_pmf_in_any_build_order(self):
         for mean in (0.5, 3.7, 640.0, 2000.0, 80.0, 12.0, 0.9):  # small to large, then large to small
             assert np.array_equal(DemandModel.poisson(mean).pmf, poisson_pmf_direct(mean))
-        assert rm._lgammas.size == int(2000.0 + 40 * math.sqrt(2000.0)) + 61  # the largest support asked for
-        assert not rm._lgammas.flags.writeable
-        with pytest.raises(ValueError):
-            rm._lgammas[0] = 1.0
+
+    def test_building_models_leaves_no_state_in_the_module(self):
+        for mean in (0.5, 3.7, 640.0, 2000.0):
+            DemandModel.poisson(mean)
+        mutable = (np.ndarray, list, dict, set, bytearray)
+        state = [name for name, value in vars(rm).items() if not name.startswith("__") and isinstance(value, mutable)]
+        assert state == []
 
     def test_discrete_survival(self):
         tails = _tails(DemandModel.discrete([0.1] * 10).pmf)
@@ -158,13 +160,6 @@ class TestSizeLimit:
         DemandModel.poisson(MAX_RM_CELLS * 0.9)
         with pytest.raises(ValueError, match="support points"):
             DemandModel.poisson(float(MAX_RM_CELLS))
-
-    def test_lgamma_table_stays_within_the_limit(self, monkeypatch):
-        monkeypatch.setattr(rm, "_lgammas", np.zeros(0))
-        DemandModel.poisson(MAX_RM_CELLS * 0.9)
-        with pytest.raises(ValueError, match="support points"):
-            DemandModel.poisson(float(MAX_RM_CELLS))
-        assert rm._lgammas.size == int(MAX_RM_CELLS * 0.9 + 40 * math.sqrt(MAX_RM_CELLS * 0.9)) + 61 <= MAX_RM_CELLS
 
     def test_deterministic_support_bound(self):
         assert DemandModel.deterministic(MAX_RM_CELLS - 1).truncation == MAX_RM_CELLS - 1
@@ -340,6 +335,14 @@ class TestShowUpSweep:
     @example(250, 1.0)
     @example(3000, 0.33)  # the point mass underflows before the sweep reaches capacity
     @example(20_000, 0.92)
+    @example(7482, 0.92)  # the start takes one chunk of 7481 factors; one more seat makes two
+    @example(7483, 0.92)
+    @example(MAX_RM_CELLS // 3, 0.92)  # the largest capacity a leg may have
+    @example(MAX_RM_CELLS // 3, 1.0)
+    @example(5000, math.nextafter(1.0, 0.0))  # one chunk: p**4999 is nowhere near 2**-900
+    @example(2000, 2.0**-899)  # one factor per chunk: two would leave the normal range
+    @example(40, 1e-300)
+    @example(7, 5e-324)  # a subnormal show-up rate: the point mass is 0 from the first step
     def test_bit_identical_to_the_loop(self, capacity, p):
         got = _show_up_sweep(capacity, p, OVERBOOKING_SEARCH_FACTOR * capacity)
         want = show_up_sweep_loop(capacity, p, OVERBOOKING_SEARCH_FACTOR * capacity)
@@ -380,6 +383,12 @@ class TestShortSweep:
     @example(leg(capacity=500, show_up_prob=0.33, fare_low=100.0, denied_cost=2000.0))
     @example(leg(capacity=1, show_up_prob=1.0, fare_low=100.0, denied_cost=100.0))
     @example(leg(capacity=3, show_up_prob=1.0, fare_low=100.0, denied_cost=99.0))
+    # a leg shaped like the benchmark's largest: its 634 revenue terms span 4e-318 to 1.3e5
+    @example(leg(capacity=800, fare_high=320.0, fare_low=110.0, demand_high=DemandModel.poisson(224.0),
+                 demand_low=DemandModel.poisson(760.0), show_up_prob=0.92, denied_cost=450.0))
+    # a low-fare mean near 2,000: at the 2,400 bound, 1,713 of 2,257 terms are nonzero, from 4e-319 to 2.2e3
+    @example(leg(capacity=800, fare_high=260.0, fare_low=95.0, demand_high=DemandModel.poisson(140.0),
+                 demand_low=DemandModel.poisson(1990.5), show_up_prob=0.9, denied_cost=400.0))
     def test_table_is_the_full_sweep_cut_at_the_limit(self, problem):
         capacity, bound = problem.capacity, OVERBOOKING_SEARCH_FACTOR * problem.capacity
         full, over = problem._show_ups
@@ -392,6 +401,29 @@ class TestShortSweep:
             policy = RMPolicy(protection, booking)
             assert expected_revenue(problem, policy) == expected_revenue_full_sweep(problem, policy)
         assert overbooking_limit(problem) == limit  # a longer booking limit leaves the leg's table as it was
+
+
+@st.composite
+def sum_terms(draw):
+    """Floats up to 1e300 in magnitude with subnormals, signed zeros and pairs that cancel exactly, shuffled."""
+    value = st.one_of(st.floats(-1e300, 1e300), st.floats(-1e-300, 1e-300),
+                      st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-318, 1.6e5]))
+    values = draw(st.lists(value, max_size=60))
+    cancelled = draw(st.lists(st.sampled_from(values), max_size=20)) if values else []
+    return draw(st.permutations(values + [-v for v in cancelled]))
+
+
+class TestLargestFirstSum:
+    """expected_revenue feeds its terms to fsum largest first; fsum rounds correctly in any order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sum_terms())
+    @example([1e300, 1.0, -1e300, 5e-324])
+    @example([-0.0, -0.0])
+    def test_equals_fsum_in_the_given_order(self, terms):
+        got = rm._fsum_largest_first(terms)
+        want = math.fsum(terms)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
 class TestOverbooking:
