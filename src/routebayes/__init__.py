@@ -23,13 +23,10 @@ from .bayes import (
 )
 from .economics import (
     AnchorPair,
-    FleetRequirement,
     FleetType,
     Route,
     ScoringAnchors,
     aircraft_required,
-    component_likelihoods,
-    fleet_requirement,
     range_feasible,
     required_frequency,
     route_profit,
@@ -55,7 +52,7 @@ from .rm import (
     overbooking_limit,
     simulate_leg,
 )
-from .scenario import Scenario, dump_scenario, load_scenario, scenario_from_dict, write_scenario
+from .scenario import Scenario, dump_scenario, load_scenario, scenario_from_dict
 
 __all__ = [
     "__version__",
@@ -71,13 +68,10 @@ __all__ = [
     "uniform_weights",
     "validate_simplex",
     "AnchorPair",
-    "FleetRequirement",
     "FleetType",
     "Route",
     "ScoringAnchors",
     "aircraft_required",
-    "component_likelihoods",
-    "fleet_requirement",
     "range_feasible",
     "required_frequency",
     "route_profit",
@@ -105,5 +99,4 @@ __all__ = [
     "dump_scenario",
     "load_scenario",
     "scenario_from_dict",
-    "write_scenario",
 ]

@@ -6,15 +6,16 @@ fixed cost per flight. KPI-to-likelihood scoring is min-max between
 configurable anchors with epsilon clamping, the stand-in for a data-collection
 model that upstream data pipelines would normally supply.
 
-The scalar functions size and score one route; ``evaluate_routes`` scores
-every route at once in float64 columns, through the same operator-only
-helpers, so the two agree bit for bit.
+``evaluate_routes`` scores every route at once in float64 columns; the
+one-route functions run the same sizing helpers, numpy operations that act
+alike on floats and on columns, so the two agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import compress
 from types import SimpleNamespace
 
 import numpy as np
@@ -83,23 +84,6 @@ class FleetType:
 
 
 @dataclass(frozen=True)
-class FleetRequirement:
-    """Weekly frequency, aircraft count, and the load factor actually achieved."""
-
-    flights_per_week: int
-    aircraft_count: int
-    achieved_load_factor: float
-
-    def __post_init__(self):
-        if self.flights_per_week < 0 or self.aircraft_count < 0:
-            raise ValueError("flights and aircraft counts must be >= 0")
-        if (self.aircraft_count == 0) != (self.flights_per_week == 0):
-            raise ValueError("aircraft_count is 0 exactly when flights_per_week is 0")
-        if not (0.0 <= self.achieved_load_factor <= 1.0):
-            raise ValueError("achieved_load_factor must be in [0, 1]")
-
-
-@dataclass(frozen=True)
 class AnchorPair:
     """Worst/best KPI values mapped to likelihood 0 and 1 before clamping."""
 
@@ -131,18 +115,12 @@ class ScoringAnchors:
             raise ValueError(f"epsilon must be in (0, 0.5), got {self.epsilon!r}")
 
 
-# Operator-only arithmetic shared by the scalar functions and evaluate_routes:
-# floats and numpy arrays alike go through the same IEEE operations.
-def _flights(demand, seats, target_load_factor):  # before the ceiling
-    return demand / (seats * target_load_factor)
+def _flights(demand, seats, target_load_factor):
+    return np.maximum(np.ceil(demand / (seats * target_load_factor)), demand > 0)
 
 
-def _aircraft(flights, block_hours_per_flight, utilization):  # before the ceiling
-    return flights * block_hours_per_flight / utilization
-
-
-def _load_factor(demand, flights, seats):  # before the cap at 1
-    return demand / (flights * seats)
+def _aircraft(flights, block_hours_per_flight, utilization):
+    return np.maximum(np.ceil(flights * block_hours_per_flight / utilization), flights > 0)
 
 
 def _profit(route, flights, carried):
@@ -150,45 +128,48 @@ def _profit(route, flights, carried):
         route.block_hours_per_flight * route.cost_per_block_hour + route.fixed_cost_per_flight)
 
 
-def _scores(route, profit, anchors: ScoringAnchors) -> list:  # (service, capital, cost), before the clamp
-    return [(value - pair.worst) / (pair.best - pair.worst) for value, pair in (
-        (route.service_score, anchors.service), (route.tied_capital, anchors.capital), (profit, anchors.cost))]
+def _check_flights(flights, demand, seats, target_load_factor) -> None:
+    if math.isinf(flights):
+        raise ValueError(f"demand {demand!r} at load factor {target_load_factor!r} needs more flights "
+                         f"of {seats} seats a week than the float range holds")
+
+
+def _check_aircraft(aircraft, flights, block_hours_per_flight, utilization) -> None:
+    if math.isinf(aircraft):
+        raise ValueError(f"{float(flights)!r} flights a week of {block_hours_per_flight!r} block hours at "
+                         f"{utilization!r} block hours per aircraft need more aircraft than the float range holds")
+
+
+def _check_seats(flights, seats, demand) -> None:
+    if math.isinf(float(flights) * seats):
+        raise ValueError(f"demand {demand!r} needs {float(flights)!r} flights of {seats} "
+                         "seats a week, more seats than the float range holds")
 
 
 def required_frequency(demand_pax_per_week: float, seats: int, target_load_factor: float) -> int:
-    """Weekly flights needed to carry the demand at the target load factor.
-
-    ceil(demand / (seats * target_load_factor)), at least 1 for a positive demand; zero demand needs none.
-    """
+    """Weekly flights for the demand: ceil(demand / (seats * target_load_factor)), at least 1 for a positive one."""
     if not (0.0 < target_load_factor <= 1.0):
         raise ValueError(f"target load factor must be in (0, 1], got {target_load_factor!r}")
     if seats < 1:
         raise ValueError(f"seats must be >= 1, got {seats!r}")
-    if demand_pax_per_week < 0:
+    if not demand_pax_per_week >= 0:  # NaN too
         raise ValueError(f"demand must be >= 0, got {demand_pax_per_week!r}")
     flights = _flights(demand_pax_per_week, seats, target_load_factor)
-    if math.isinf(flights):
-        raise ValueError(f"demand {demand_pax_per_week!r} at load factor {target_load_factor!r} needs more flights "
-                         f"of {seats} seats a week than the float range holds")
-    return max(1, math.ceil(flights)) if demand_pax_per_week > 0 else 0
+    _check_flights(flights, demand_pax_per_week, seats, target_load_factor)
+    return int(flights)
 
 
 def aircraft_required(flights_per_week: int, block_hours_per_flight: float, utilization: float) -> int:
-    """Aircraft needed to fly the weekly frequency at the given utilization."""
+    """Aircraft for the weekly flights: ceil(flights * block_hours / utilization), at least 1 for a flight."""
     if utilization <= 0:
         raise ValueError(f"utilization must be > 0, got {utilization!r}")
     if flights_per_week < 0:
         raise ValueError(f"flights must be >= 0, got {flights_per_week!r}")
     if block_hours_per_flight <= 0:
         raise ValueError(f"block hours must be > 0, got {block_hours_per_flight!r}")
-    if flights_per_week == 0:
-        return 0
     aircraft = _aircraft(flights_per_week, block_hours_per_flight, utilization)
-    if math.isinf(aircraft):
-        raise ValueError(f"{float(flights_per_week)!r} flights a week of {block_hours_per_flight!r} block hours at "
-                         f"{utilization!r} block hours per aircraft need more aircraft than the float range holds")
-    # a nonzero frequency needs an aircraft even where the product underflows to 0
-    return max(1, math.ceil(aircraft))
+    _check_aircraft(aircraft, flights_per_week, block_hours_per_flight, utilization)
+    return int(aircraft)
 
 
 def range_feasible(route: Route, fleet: FleetType) -> bool:
@@ -208,28 +189,8 @@ def route_profit(route: Route, fleet: FleetType, flights_per_week: int) -> float
         return 0.0
     if not range_feasible(route, fleet):
         raise ValueError(f"route {route.id} is {route.distance_km!r} km but {fleet.name} ranges {fleet.range_km!r} km")
+    _check_seats(flights_per_week, fleet.seats, route.demand_pax_per_week)
     return _profit(route, flights_per_week, min(route.demand_pax_per_week, flights_per_week * fleet.seats))
-
-
-def fleet_requirement(route: Route, fleet: FleetType, target_load_factor: float) -> FleetRequirement:
-    """Size the weekly operation of ``route`` with ``fleet``."""
-    flights = required_frequency(route.demand_pax_per_week, fleet.seats, target_load_factor)
-    aircraft = aircraft_required(flights, route.block_hours_per_flight, fleet.utilization_block_hours_per_week)
-    if math.isinf(flights * float(fleet.seats)):
-        raise ValueError(f"demand {route.demand_pax_per_week!r} needs {float(flights)!r} flights of {fleet.seats} "
-                         "seats a week, more seats than the float range holds")
-    load_factor = 0.0 if flights == 0 else min(1.0, _load_factor(route.demand_pax_per_week, flights, fleet.seats))
-    return FleetRequirement(flights, aircraft, load_factor)
-
-
-def component_likelihoods(route: Route, profit: float, anchors: ScoringAnchors) -> LikelihoodVector:
-    """Score the route's KPIs into per-driver likelihoods (service, capital, cost).
-
-    Min-max between the anchors, clamped into [epsilon, 1 - epsilon] so that a
-    boundary KPI can never zero out the whole evaluation.
-    """
-    eps = anchors.epsilon
-    return LikelihoodVector(tuple(min(max(raw, eps), 1.0 - eps) for raw in _scores(route, profit, anchors)))
 
 
 @dataclass(frozen=True)
@@ -257,8 +218,9 @@ def evaluate_routes(scenario) -> RouteColumns:
     """Every route's fleet choice, sizing, profit, likelihoods and posterior at once.
 
     A route takes its pinned fleet, else exactly ``min(key=(-profit, name))`` over the fleets in range in
-    scenario order, so a NaN profit neither replaces nor is replaced. The first route in file order that
-    fails raises what the scalar functions raise for it, at ``routes[<id>]``.
+    scenario order, so a NaN profit neither replaces nor is replaced. The first failing route in file order
+    raises a ValidationError at ``routes[<id>]``: flights, aircraft or weekly seats past the float range for
+    its fleets in scenario order, then a non-finite likelihood, zero total probability, non-finite profit or score.
     """
     routes, fleets, weights, anchors = scenario.routes, scenario.fleets, scenario.weights, scenario.anchors
     r = SimpleNamespace(**{name: np.array([getattr(x, name) for x in routes], float) for name in ROUTE_NUMBERS})
@@ -267,13 +229,12 @@ def evaluate_routes(scenario) -> RouteColumns:
     index = {fleet.name: k for k, fleet in enumerate(fleets)}
     pins = np.array([index.get(route.fleet, -1) for route in routes], int)
     candidates = np.where(pins >= 0, np.arange(len(fleets))[:, None] == pins, range_feasible(r, f))
-    demand = r.demand_pax_per_week
+    demand, eps = r.demand_pax_per_week, anchors.epsilon
     with np.errstate(all="ignore"):
-        flights = np.maximum(np.ceil(_flights(demand, f.seats, scenario.target_load_factor)), demand > 0)
-        aircraft = np.ceil(_aircraft(flights, r.block_hours_per_flight, f.utilization_block_hours_per_week))
-        aircraft = np.maximum(aircraft, flights > 0)  # at least one for a nonzero frequency, as in aircraft_required
+        flights = _flights(demand, f.seats, scenario.target_load_factor)
+        aircraft = _aircraft(flights, r.block_hours_per_flight, f.utilization_block_hours_per_week)
         idle = flights == 0
-        load_factor = np.where(idle, 0.0, np.minimum(1.0, _load_factor(demand, flights, f.seats)))
+        load_factor = np.where(idle, 0.0, np.minimum(1.0, demand / (flights * f.seats)))
         profit = np.where(idle, 0.0, _profit(r, flights, np.minimum(demand, flights * f.seats)))
         sized = np.isfinite(flights) & np.isfinite(aircraft) & np.isfinite(flights * f.seats)
         rank = [sorted(index).index(fleet.name) for fleet in fleets]
@@ -283,7 +244,9 @@ def evaluate_routes(scenario) -> RouteColumns:
             take = (fleet < 0) | (profit[k] > best) | ((profit[k] == best) & (rank[k] < np.take(rank, fleet)))
             fleet[candidates[k] & take] = k
         chosen = profit[fleet, each]
-        likelihoods = np.minimum(np.maximum(_scores(r, chosen, anchors), anchors.epsilon), 1.0 - anchors.epsilon)
+        scores = [(value - pair.worst) / (pair.best - pair.worst) for value, pair in (
+            (r.service_score, anchors.service), (r.tied_capital, anchors.capital), (chosen, anchors.cost))]
+        likelihoods = np.minimum(np.maximum(scores, eps), 1.0 - eps)
         contributions = weighted(weights.values, likelihoods)
         total = left_sum(contributions)
         columns = RouteColumns([route.id for route in routes], [fleets[k].name for k in fleet.tolist()],
@@ -291,17 +254,14 @@ def evaluate_routes(scenario) -> RouteColumns:
                                likelihoods, total, np.divide(contributions, total), total * chosen)
     failed = (candidates & ~sized).any(0) | ~np.isfinite([*likelihoods, chosen, columns.score]).all(0) | (total == 0)
     for i in np.flatnonzero(failed)[:1]:
-        at(f"routes[{routes[i].id}]", _fail, scenario, i,
-           [fl for fl, ok in zip(fleets, candidates[:, i]) if ok], columns)
+        route, path = routes[i], f"routes[{routes[i].id}]"
+        for option, n, planes in compress(zip(fleets, flights[:, i], aircraft[:, i]), candidates[:, i]):
+            at(path, _check_flights, n, route.demand_pax_per_week, option.seats, scenario.target_load_factor)
+            at(path, _check_aircraft, planes, n, route.block_hours_per_flight, option.utilization_block_hours_per_week)
+            at(path, _check_seats, n, option.seats, route.demand_pax_per_week)
+        at(path, posterior, weights, at(path, LikelihoodVector, likelihoods[:, i].tolist()))
+        at(path, check_finite, {"profit": chosen[i].item(), "score": columns.score[i].item()})
     return columns
-
-
-def _fail(scenario, i: int, fleets, columns: RouteColumns) -> None:
-    """Raise what the scalar functions raise for route ``i``, in their order."""
-    for fleet in fleets:
-        fleet_requirement(scenario.routes[i], fleet, scenario.target_load_factor)
-    posterior(scenario.weights, LikelihoodVector(columns.likelihoods[:, i].tolist()))
-    check_finite({"profit": columns.profit[i].item(), "score": columns.score[i].item()})
 
 
 def check_finite(figures: dict) -> None:

@@ -2,14 +2,13 @@
 
 Stages always execute in that fixed order. Requesting ``plan`` implies the
 evaluate computation (and ``optimize`` needs it too); the report still
-contains only the sections that were requested. Evaluation scores every
-route at once in float64 columns; an error names the first failing route in
-file order, with the error the scalar economics give for it. When optimize
-runs, the optimized weights feed the plan stage's probability-weighted
-scores, otherwise the scenario's prior weights do. Reports are deterministic
-for a fixed scenario, stage set, trial count, and seed; only the timestamp
-varies. Section builders round each float with ``round12``; ``uplift_pct``
-uses unrounded values.
+contains only the sections that were requested. ``evaluate_routes`` scores
+every route at once in float64 columns and names the first failing route in
+file order with its first error. When optimize runs, the optimized weights
+feed the plan stage's probability-weighted scores, otherwise the scenario's
+prior weights do. Reports are deterministic for a fixed scenario, stage set,
+trial count, and seed; only the timestamp varies. Section builders round
+each float with ``round12``; ``uplift_pct`` uses unrounded values.
 """
 
 from __future__ import annotations

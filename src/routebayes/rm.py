@@ -38,7 +38,7 @@ OVERBOOKING_SEARCH_FACTOR = 3
 #: any booking limit, and |D_low| x |D_high|, which bounds the multiply-adds of
 #: expected_revenue's denied-boarding correlation, each stay within this many cells.
 MAX_RM_CELLS = 10**6
-#: Most Monte Carlo trials per leg: simulate_leg peaks at 13 arrays of 8 bytes per trial, 104 MB here.
+#: Most Monte Carlo trials per leg: simulate_leg peaks at about 11 arrays of 8 bytes per trial, 84-85 MiB here.
 MAX_TRIALS = 10**6
 
 

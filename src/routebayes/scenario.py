@@ -372,7 +372,3 @@ def atomic_write_text(path, text: str) -> None:
             raise
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
-
-
-def write_scenario(scenario: Scenario, path) -> None:
-    atomic_write_text(path, scenario_to_json(scenario))

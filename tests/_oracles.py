@@ -14,10 +14,10 @@ import csv
 import io
 import math
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 from routebayes.bayes import LikelihoodVector, WeightVector
-from routebayes.economics import FleetRequirement
 from routebayes.errors import at
 from routebayes.rm import OVERBOOKING_SEARCH_FACTOR, TAIL_MASS, _check_policy, _show_up_sweep, _tails
 
@@ -266,15 +266,21 @@ def evaluate_route_by_route(scenario):
 
     Each route takes its pinned fleet, else ``min(key=(-profit, name))`` over the
     fleets in range in scenario order. The first failing route raises a
-    ValidationError at ``routes[<id>]``: a ceiling of a non-finite number, a fleet
-    requirement out of its rules, a non-finite likelihood, a zero total
-    probability, then a non-finite profit or score.
+    ValidationError at ``routes[<id>]``: flights, aircraft or weekly seats past
+    the float range for one of its fleets in scenario order, a non-finite
+    likelihood, a zero total probability, then a non-finite profit or score.
     """
     return [at(f"routes[{route.id}]", _route_figures, scenario, route) for route in scenario.routes]
 
 
+class Sizing(NamedTuple):
+    flights_per_week: int
+    aircraft_count: int
+    achieved_load_factor: float
+
+
 def sized_route(route, fleet, target_load_factor):
-    """``(FleetRequirement, weekly profit)`` of flying ``route`` with ``fleet``."""
+    """``(Sizing, weekly profit)`` of flying ``route`` with ``fleet``."""
     demand = route.demand_pax_per_week
     flights = demand / (fleet.seats * target_load_factor)
     if math.isinf(flights):
@@ -282,7 +288,7 @@ def sized_route(route, fleet, target_load_factor):
                          f"of {fleet.seats} seats a week than the float range holds")
     flights = 0 if demand == 0 else max(1, math.ceil(flights))
     if flights == 0:
-        return FleetRequirement(0, 0, 0.0), 0.0
+        return Sizing(0, 0, 0.0), 0.0
     aircraft = flights * route.block_hours_per_flight / fleet.utilization_block_hours_per_week
     if math.isinf(aircraft):
         raise ValueError(f"{float(flights)!r} flights a week of {route.block_hours_per_flight!r} block hours at "
@@ -292,7 +298,7 @@ def sized_route(route, fleet, target_load_factor):
     if math.isinf(flights * float(fleet.seats)):
         raise ValueError(f"demand {demand!r} needs {float(flights)!r} flights of {fleet.seats} "
                          "seats a week, more seats than the float range holds")
-    requirement = FleetRequirement(flights, aircraft, min(1.0, demand / (flights * fleet.seats)))
+    requirement = Sizing(flights, aircraft, min(1.0, demand / (flights * fleet.seats)))
     carried = min(demand, flights * fleet.seats)
     cost = flights * (route.block_hours_per_flight * route.cost_per_block_hour + route.fixed_cost_per_flight)
     return requirement, carried * route.average_fare - cost

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,12 +10,12 @@ from routebayes.economics import (
     Route,
     ScoringAnchors,
     aircraft_required,
-    component_likelihoods,
-    fleet_requirement,
+    evaluate_routes,
     range_feasible,
     required_frequency,
     route_profit,
 )
+from routebayes.scenario import scenario_from_dict
 
 
 def make_route(**overrides):
@@ -41,6 +43,18 @@ ANCHORS = ScoringAnchors(
     capital=AnchorPair(1_000_000.0, 0.0),
     cost=AnchorPair(-100_000.0, 100_000.0),
 )
+EMPTY = scenario_from_dict({"schema_version": "1"})
+
+
+def evaluate_one(route, fleet=A320, target_load_factor=0.8, anchors=ANCHORS):
+    """``evaluate_routes`` on a scenario of the one route and fleet, under uniform weights."""
+    scenario = replace(EMPTY, routes=(route,), fleets=(fleet,), target_load_factor=target_load_factor, anchors=anchors)
+    return evaluate_routes(scenario)
+
+
+def likelihoods(route, anchors=ANCHORS):
+    """The route's (service, capital, cost) likelihoods; a zero demand makes its profit 0.0."""
+    return evaluate_one(route, anchors=anchors).likelihoods[:, 0].tolist()
 
 
 class TestRequiredFrequency:
@@ -120,39 +134,41 @@ class TestRouteProfit:
 
 
 class TestFleetRequirement:
+    """A route's weekly flights, aircraft and load factor, as ``evaluate_routes`` sizes them."""
+
     def test_worked_sizing(self):
-        req = fleet_requirement(make_route(), A320, 0.8)
-        assert req.flights_per_week == 10
-        assert req.aircraft_count == 1
-        assert req.achieved_load_factor == pytest.approx(1400 / 1800)
+        columns = evaluate_one(make_route())
+        assert columns.flights.tolist() == [10]
+        assert columns.aircraft.tolist() == [1]
+        assert columns.load_factor[0] == pytest.approx(1400 / 1800)
 
     def test_zero_demand(self):
-        req = fleet_requirement(make_route(demand_pax_per_week=0.0), A320, 0.8)
-        assert req.flights_per_week == 0
-        assert req.aircraft_count == 0
-        assert req.achieved_load_factor == 0.0
+        columns = evaluate_one(make_route(demand_pax_per_week=0.0))
+        assert columns.flights.tolist() == columns.aircraft.tolist() == [0]
+        assert columns.load_factor.tolist() == columns.profit.tolist() == [0.0]
 
 
 class TestComponentLikelihoods:
+    """A route's per-driver likelihoods, as ``evaluate_routes`` scores them."""
+
     def test_at_best_anchor_clamps(self):
-        lk = component_likelihoods(make_route(service_score=1.0), 0.0, ANCHORS)
-        assert lk[0] == pytest.approx(0.99)
+        assert likelihoods(make_route(service_score=1.0, demand_pax_per_week=0.0))[0] == pytest.approx(0.99)
 
     def test_midway_scores_half(self):
-        lk = component_likelihoods(make_route(tied_capital=500_000.0), 0.0, ANCHORS)
-        assert lk[1] == pytest.approx(0.5)
+        assert likelihoods(make_route(tied_capital=500_000.0, demand_pax_per_week=0.0))[1] == pytest.approx(0.5)
 
     def test_direct_minmax(self):
-        lk = component_likelihoods(make_route(service_score=0.9), 0.0, ANCHORS)
-        assert lk[0] == pytest.approx(0.9)
+        assert likelihoods(make_route(service_score=0.9, demand_pax_per_week=0.0))[0] == pytest.approx(0.9)
 
     def test_worked_vector(self):
-        lk = component_likelihoods(make_route(), -80000.0, ANCHORS)
-        assert lk.values == pytest.approx((0.8, 0.4, 0.1))
+        # 1,400 passengers at 120 on 10 flights of 5 x 4,000 + 4,800: a profit of -80,000
+        route = make_route(fixed_cost_per_flight=4800.0)
+        assert evaluate_one(route).profit.tolist() == [-80000.0]
+        assert likelihoods(route) == pytest.approx([0.8, 0.4, 0.1])
 
     def test_capital_orientation(self):
-        low_cap = component_likelihoods(make_route(tied_capital=100_000.0), 0.0, ANCHORS)
-        high_cap = component_likelihoods(make_route(tied_capital=900_000.0), 0.0, ANCHORS)
+        low_cap = likelihoods(make_route(tied_capital=100_000.0, demand_pax_per_week=0.0))
+        high_cap = likelihoods(make_route(tied_capital=900_000.0, demand_pax_per_week=0.0))
         assert low_cap[1] > high_cap[1]
 
     def test_degenerate_anchors(self):
@@ -166,10 +182,7 @@ class TestComponentLikelihoods:
             cost=AnchorPair(-1.0, 1.0),
             epsilon=0.05,
         )
-        lk = component_likelihoods(
-            make_route(service_score=0.0, tied_capital=50.0), -99.0, anchors
-        )
-        assert all(0.05 <= v <= 0.95 for v in lk)
+        assert all(0.05 <= v <= 0.95 for v in likelihoods(make_route(service_score=0.0, tied_capital=50.0), anchors))
 
 
 @given(
@@ -216,10 +229,7 @@ def test_ceiling_consistency(demand, seats, lf):
 )
 def test_load_factor_never_above_one(demand, seats, lf):
     route = make_route(demand_pax_per_week=demand, distance_km=100.0)
-    fleet = FleetType("f", seats, 1000.0, 60.0)
-    req = fleet_requirement(route, fleet, lf)
-    assert 0.0 <= req.achieved_load_factor <= 1.0
-    if req.flights_per_week > 0:
-        carried = min(demand, req.flights_per_week * seats)
-        assert carried <= demand
-        assert carried <= req.flights_per_week * seats
+    columns = evaluate_one(route, FleetType("f", seats, 1000.0, 60.0), lf)
+    (load_factor,), (flights,) = columns.load_factor.tolist(), columns.flights.tolist()
+    assert 0.0 <= load_factor <= 1.0
+    assert (flights > 0) == (demand > 0)

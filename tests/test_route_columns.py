@@ -11,9 +11,8 @@ import sys
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from _oracles import evaluate_route_by_route, route_likelihoods, sized_route
-from routebayes.economics import (AnchorPair, FleetType, Route, ScoringAnchors, component_likelihoods,
-                                  fleet_requirement, route_profit)
+from _oracles import evaluate_route_by_route, sized_route
+from routebayes.economics import FleetType, Route, aircraft_required, required_frequency, route_profit
 from routebayes.errors import RouteBayesError
 from routebayes.pipeline import evaluate_routes
 from routebayes.scenario import scenario_from_dict
@@ -117,20 +116,20 @@ def test_fleet_listed_out_of_name_order_on_a_profit_tie():
     assert column_rows(scenario) == evaluate_route_by_route(scenario)
 
 
-def scalar_outcome(route, fleet, target_load_factor, anchors):
-    """The public scalar functions on one route and fleet, or the error they raise."""
+def scalar_outcome(route, fleet, target_load_factor):
+    """Flights, aircraft and profit from the public one-route functions, or the error they raise."""
     try:
-        requirement = fleet_requirement(route, fleet, target_load_factor)
-        profit = route_profit(route, fleet, requirement.flights_per_week)
-        return requirement, profit, component_likelihoods(route, profit, anchors)
+        flights = required_frequency(route.demand_pax_per_week, fleet.seats, target_load_factor)
+        aircraft = aircraft_required(flights, route.block_hours_per_flight, fleet.utilization_block_hours_per_week)
+        return flights, aircraft, route_profit(route, fleet, flights)
     except (ValueError, ArithmeticError) as exc:
         return type(exc).__name__, str(exc)
 
 
-def oracle_outcome(route, fleet, target_load_factor, anchors):
+def oracle_outcome(route, fleet, target_load_factor):
     try:
         requirement, profit = sized_route(route, fleet, target_load_factor)
-        return requirement, profit, route_likelihoods(route, profit, anchors)
+        return requirement.flights_per_week, requirement.aircraft_count, profit
     except (ValueError, ArithmeticError) as exc:
         return type(exc).__name__, str(exc)
 
@@ -141,15 +140,11 @@ ROUTES = st.builds(Route, id=st.just("r"), origin=st.just("A"), destination=st.j
                    service_score=st.floats(0, 1), tied_capital=AMOUNT)
 FLEETS = st.builds(FleetType, name=st.just("f"), seats=SEATS, range_km=st.just(5000.0),
                    utilization_block_hours_per_week=POSITIVE)
-PAIRS = st.tuples(st.floats(-MAX, MAX), st.floats(-MAX, MAX)).filter(lambda p: p[0] != p[1]).map(lambda p: AnchorPair(*p))
-ANCHORS = st.builds(ScoringAnchors, service=PAIRS, capital=PAIRS, cost=PAIRS,
-                    epsilon=st.floats(0, 0.5, exclude_min=True, exclude_max=True))
 
 
 @SETTINGS
-@given(ROUTES, FLEETS, st.floats(0, 1, exclude_min=True), ANCHORS)
-def test_scalar_functions_match_the_oracle(route, fleet, target_load_factor, anchors):
-    want = oracle_outcome(route, fleet, target_load_factor, anchors)
-    got = scalar_outcome(route, fleet, target_load_factor, anchors)
-    assert got == want
-    assert repr(got) == repr(want)
+@given(ROUTES, FLEETS, st.floats(0, 1, exclude_min=True))
+def test_scalar_functions_match_the_oracle(route, fleet, target_load_factor):
+    want = oracle_outcome(route, fleet, target_load_factor)
+    got = scalar_outcome(route, fleet, target_load_factor)
+    assert repr(got) == repr(want)  # a NaN profit (fare and costs past the float range) fails ==, not repr

@@ -31,7 +31,6 @@ from routebayes.scenario import (
     load_scenario,
     scenario_from_dict,
     scenario_to_json,
-    write_scenario,
 )
 
 CORPUS = sorted((Path(__file__).parent / "data" / "corpus").glob("*.json"))
@@ -396,13 +395,6 @@ class TestFileHandling:
         with pytest.raises(ParseError) as info:
             load_scenario(bad)
         assert info.value.line == 1
-
-    def test_write_then_load(self, tmp_path):
-        scenario = scenario_from_dict(minimal_doc(seed=12))
-        out = tmp_path / "echo.json"
-        write_scenario(scenario, out)
-        again = load_scenario(out)
-        assert again == scenario
 
 
 @pytest.mark.parametrize("path", CORPUS + SHIPPED, ids=lambda p: p.name)

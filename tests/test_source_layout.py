@@ -1,10 +1,13 @@
 """Layout rules for the package source.
 
 Source size is tracked in non-blank lines, so a line cap keeps that count from
-shrinking by packing expressions onto ever longer lines.
+shrinking by packing expressions onto ever longer lines. The package's export
+list names only what the package defines, so ``from routebayes import *`` works.
 """
 
 from pathlib import Path
+
+import routebayes
 
 SRC = Path(__file__).parents[1] / "src"
 MAX_LINE = 120
@@ -20,3 +23,8 @@ def test_no_source_line_is_longer_than_the_cap():
         if len(line) > MAX_LINE
     ]
     assert too_long == []
+
+
+def test_every_exported_name_is_defined():
+    assert routebayes.__all__
+    assert [name for name in routebayes.__all__ if not hasattr(routebayes, name)] == []
