@@ -69,15 +69,12 @@ def main(argv=None) -> int:
     except InfeasibleConstraints as exc:
         print(f"error: infeasible constraints: {exc}", file=sys.stderr)
         return 2
-    except IoError as exc:
+    except (IoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except RouteBayesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ model that upstream data pipelines would normally supply.
 
 ``evaluate_routes`` scores every route at once in float64 columns; the
 one-route functions run the same sizing helpers, numpy operations that act
-alike on floats and on columns, so the two agree bit for bit.
+alike on floats and on columns, so the two agree bit for bit. The scenario
+loader shares ``check_route_fleet``, the route-fleet rule, with it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .bayes import LikelihoodVector, left_sum, posterior, weighted
-from .errors import at
+from .errors import DanglingReference, ValidationError, at
 
 
 @dataclass(frozen=True)
@@ -44,9 +45,9 @@ class Route:
     def __post_init__(self):
         if not self.id:
             raise ValueError("route id must be nonempty")
-        if self.distance_km <= 0:
+        if not self.distance_km > 0:
             raise ValueError(f"distance_km must be > 0, got {self.distance_km!r}")
-        if self.block_hours_per_flight <= 0:
+        if not self.block_hours_per_flight > 0:
             raise ValueError(
                 f"block_hours_per_flight must be > 0, got {self.block_hours_per_flight!r}"
             )
@@ -54,7 +55,7 @@ class Route:
             raise ValueError(f"service_score must be in [0, 1], got {self.service_score!r}")
         for name in ("demand_pax_per_week", "average_fare", "cost_per_block_hour",
                      "fixed_cost_per_flight", "tied_capital"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
 
@@ -74,9 +75,9 @@ class FleetType:
             raise ValueError(f"seats must be >= 1, got {self.seats!r}")
         if self.seats > 2**53:  # every count up to here is exact in a float64 column
             raise ValueError(f"seats must be <= 2**53, got {self.seats!r}")
-        if self.range_km <= 0:
+        if not self.range_km > 0:
             raise ValueError(f"range_km must be > 0, got {self.range_km!r}")
-        if self.utilization_block_hours_per_week <= 0:
+        if not self.utilization_block_hours_per_week > 0:
             raise ValueError(
                 "utilization_block_hours_per_week must be > 0, "
                 f"got {self.utilization_block_hours_per_week!r}"
@@ -129,19 +130,19 @@ def _profit(route, flights, carried):
 
 
 def _check_flights(flights, demand, seats, target_load_factor) -> None:
-    if math.isinf(flights):
+    if not math.isfinite(flights):
         raise ValueError(f"demand {demand!r} at load factor {target_load_factor!r} needs more flights "
                          f"of {seats} seats a week than the float range holds")
 
 
 def _check_aircraft(aircraft, flights, block_hours_per_flight, utilization) -> None:
-    if math.isinf(aircraft):
+    if not math.isfinite(aircraft):
         raise ValueError(f"{float(flights)!r} flights a week of {block_hours_per_flight!r} block hours at "
                          f"{utilization!r} block hours per aircraft need more aircraft than the float range holds")
 
 
 def _check_seats(flights, seats, demand) -> None:
-    if math.isinf(float(flights) * seats):
+    if not math.isfinite(float(flights) * seats):
         raise ValueError(f"demand {demand!r} needs {float(flights)!r} flights of {seats} "
                          "seats a week, more seats than the float range holds")
 
@@ -161,11 +162,11 @@ def required_frequency(demand_pax_per_week: float, seats: int, target_load_facto
 
 def aircraft_required(flights_per_week: int, block_hours_per_flight: float, utilization: float) -> int:
     """Aircraft for the weekly flights: ceil(flights * block_hours / utilization), at least 1 for a flight."""
-    if utilization <= 0:
+    if not utilization > 0:
         raise ValueError(f"utilization must be > 0, got {utilization!r}")
-    if flights_per_week < 0:
+    if not flights_per_week >= 0:
         raise ValueError(f"flights must be >= 0, got {flights_per_week!r}")
-    if block_hours_per_flight <= 0:
+    if not block_hours_per_flight > 0:
         raise ValueError(f"block hours must be > 0, got {block_hours_per_flight!r}")
     aircraft = _aircraft(flights_per_week, block_hours_per_flight, utilization)
     _check_aircraft(aircraft, flights_per_week, block_hours_per_flight, utilization)
@@ -174,6 +175,19 @@ def aircraft_required(flights_per_week: int, block_hours_per_flight: float, util
 
 def range_feasible(route: Route, fleet: FleetType) -> bool:
     return route.distance_km <= fleet.range_km
+
+
+def check_route_fleet(route: Route, fleets_by_name: dict, path: str) -> Route:
+    """The route if its pin names a declared fleet in range, or it is unpinned and some fleet is in range."""
+    if route.fleet is None:
+        if not any(range_feasible(route, fleet) for fleet in fleets_by_name.values()):
+            raise ValidationError(path, "no fleet with sufficient range for this route")
+    elif (pinned := fleets_by_name.get(route.fleet)) is None:
+        raise DanglingReference(f"{path}.fleet", f"unknown fleet {route.fleet!r}")
+    elif not range_feasible(route, pinned):
+        raise ValidationError(f"{path}.fleet", f"fleet {route.fleet!r} ranges {pinned.range_km!r} km, "
+                                               f"route is {route.distance_km!r} km")
+    return route
 
 
 def route_profit(route: Route, fleet: FleetType, flights_per_week: int) -> float:
@@ -217,18 +231,19 @@ _FLEET_NUMBERS = tuple(f.name for f in fields(FleetType) if f.type in ("int", "f
 def evaluate_routes(scenario) -> RouteColumns:
     """Every route's fleet choice, sizing, profit, likelihoods and posterior at once.
 
-    A route takes its pinned fleet, else exactly ``min(key=(-profit, name))`` over the fleets in range in
-    scenario order, so a NaN profit neither replaces nor is replaced. The first failing route in file order
-    raises a ValidationError at ``routes[<id>]``: flights, aircraft or weekly seats past the float range for
-    its fleets in scenario order, then a non-finite likelihood, zero total probability, non-finite profit or score.
+    A route takes exactly ``min(key=(-profit, name))`` over the fleets in range that its pin allows, in scenario
+    order, so a NaN profit neither replaces nor is replaced. The first failing route in file order raises a
+    ValidationError at ``routes[<id>]``: ``check_route_fleet``, then flights, aircraft or weekly seats not finite
+    for its candidates in scenario order, then a non-finite likelihood, zero total probability, profit or score.
     """
     routes, fleets, weights, anchors = scenario.routes, scenario.fleets, scenario.weights, scenario.anchors
     r = SimpleNamespace(**{name: np.array([getattr(x, name) for x in routes], float) for name in ROUTE_NUMBERS})
     f = SimpleNamespace(**{name: np.array([getattr(x, name) for x in fleets], float)[:, None]
                            for name in _FLEET_NUMBERS})
     index = {fleet.name: k for k, fleet in enumerate(fleets)}
-    pins = np.array([index.get(route.fleet, -1) for route in routes], int)
-    candidates = np.where(pins >= 0, np.arange(len(fleets))[:, None] == pins, range_feasible(r, f))
+    # each route's pinned fleet index: -1 when unpinned, len(fleets), which no fleet matches, for an unknown name
+    pins = np.array([-1 if route.fleet is None else index.get(route.fleet, len(fleets)) for route in routes], int)
+    candidates = range_feasible(r, f) & ((pins < 0) | (np.arange(len(fleets))[:, None] == pins))
     demand, eps = r.demand_pax_per_week, anchors.epsilon
     with np.errstate(all="ignore"):
         flights = _flights(demand, f.seats, scenario.target_load_factor)
@@ -252,9 +267,11 @@ def evaluate_routes(scenario) -> RouteColumns:
         columns = RouteColumns([route.id for route in routes], [fleets[k].name for k in fleet.tolist()],
                                flights[fleet, each], aircraft[fleet, each], load_factor[fleet, each], chosen,
                                likelihoods, total, np.divide(contributions, total), total * chosen)
-    failed = (candidates & ~sized).any(0) | ~np.isfinite([*likelihoods, chosen, columns.score]).all(0) | (total == 0)
+    failed = ~candidates.any(0) | (candidates & ~sized).any(0) | (total == 0)
+    failed |= ~np.isfinite([*likelihoods, chosen, columns.score]).all(0)
     for i in np.flatnonzero(failed)[:1]:
         route, path = routes[i], f"routes[{routes[i].id}]"
+        check_route_fleet(route, {fleet.name: fleet for fleet in fleets}, path)
         for option, n, planes in compress(zip(fleets, flights[:, i], aircraft[:, i]), candidates[:, i]):
             at(path, _check_flights, n, route.demand_pax_per_week, option.seats, scenario.target_load_factor)
             at(path, _check_aircraft, planes, n, route.block_hours_per_flight, option.utilization_block_hours_per_week)

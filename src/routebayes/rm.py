@@ -64,7 +64,7 @@ class DemandModel:
     @classmethod
     def poisson(cls, mean: float) -> "DemandModel":
         """Poisson demand truncated where the tail mass drops below 1e-9."""
-        if mean < 0:
+        if not mean >= 0:
             raise ValueError(f"poisson mean must be >= 0, got {mean!r}")
         if mean == 0:
             return cls([1.0])
@@ -123,7 +123,7 @@ class LegRMProblem:
             )
         if not (0.0 < self.show_up_prob <= 1.0):
             raise ValueError(f"show_up_prob must be in (0, 1], got {self.show_up_prob!r}")
-        if self.denied_cost < 0:
+        if not self.denied_cost >= 0:
             raise ValueError(f"denied_cost must be >= 0, got {self.denied_cost!r}")
         if OVERBOOKING_SEARCH_FACTOR * self.capacity > MAX_RM_CELLS:
             raise ValueError(

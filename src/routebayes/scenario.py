@@ -7,18 +7,18 @@ parsed source document is kept on the Scenario so canonical re-serialization
 round-trips exactly for files written with at most 12 significant digits.
 
 Validation has two layers. This module checks what no single value can know:
-JSON shape and types, unknown keys, duplicate ids, references between
-records, fleet range coverage, the 3-driver rule for routes, the load factor
-and the seed. Each record is read by one field table (key -> reader) and
-handed to its domain constructor (``Route``, ``FleetType``, ``AnchorPair``,
-``ScoringAnchors``, ``FleetAvailability``, ``HypothesisSet``,
-``validate_simplex``, ``BoxConstraints``, ``DemandModel``, ``LegRMProblem``),
-which owns every value range and every default. The field tables are derived
-from the constructors' dataclass fields: a field's annotation picks its
-reader, and a field with a default is a key that may be absent, which is
-then not passed. ``errors.at`` turns a constructor's ValueError into a
-ValidationError at the record's path; InfeasibleConstraints passes through
-with its own exit code.
+JSON shape and types, unknown keys, duplicate ids, references between records,
+the 3-driver rule for routes, the load factor and the seed. Each record is
+read by one field table (key -> reader) and handed to its domain constructor
+(``Route``, ``FleetType``, ``AnchorPair``, ``ScoringAnchors``,
+``FleetAvailability``, ``HypothesisSet``, ``validate_simplex``,
+``BoxConstraints``, ``DemandModel``, ``LegRMProblem``), which owns every value
+range and every default. The field tables are derived from the constructors'
+dataclass fields: a field's annotation picks its reader, and a field with a
+default is a key that may be absent, which is then not passed. ``errors.at``
+turns a constructor's ValueError into a ValidationError at the record's path;
+InfeasibleConstraints passes through with its own exit code. Each route meets
+the route-fleet rule, ``economics.check_route_fleet``, as it is read.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .bayes import DEFAULT_DRIVERS, Hypothesis, HypothesisSet, WeightVector, uniform_weights, validate_simplex
-from .economics import AnchorPair, FleetType, Route, ScoringAnchors, range_feasible
+from .economics import AnchorPair, FleetType, Route, ScoringAnchors, check_route_fleet
 from .errors import DanglingReference, IoError, ParseError, SchemaVersionUnsupported, ValidationError, at
 from .optimizer import BoxConstraints
 from .planner import FleetAvailability
@@ -218,21 +218,9 @@ def _parse_availability(doc: dict, fleets: tuple[FleetType, ...]) -> FleetAvaila
 
 
 def _parse_routes(doc: dict, fleets: tuple[FleetType, ...]) -> tuple[Route, ...]:
-    routes = []
     by_name = {f.name: f for f in fleets}
-    for path, record in _read_list(doc, "routes", _ROUTE, "id", "route id"):
-        route = at(path, Route, **record)
-        pinned = by_name.get(route.fleet)
-        if route.fleet is None:
-            if not any(range_feasible(route, f) for f in fleets):
-                raise ValidationError(path, "no fleet with sufficient range for this route")
-        elif pinned is None:
-            raise DanglingReference(f"{path}.fleet", f"unknown fleet {route.fleet!r}")
-        elif not range_feasible(route, pinned):
-            raise ValidationError(f"{path}.fleet", f"fleet {route.fleet!r} ranges {pinned.range_km!r} km, "
-                                                   f"route is {route.distance_km!r} km")
-        routes.append(route)
-    return tuple(routes)
+    return tuple(check_route_fleet(at(path, Route, **record), by_name, path)
+                 for path, record in _read_list(doc, "routes", _ROUTE, "id", "route id"))
 
 
 def _parse_rm_legs(doc: dict) -> tuple[RMLeg, ...]:

@@ -1,7 +1,8 @@
+import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from routebayes.economics import (
@@ -95,12 +96,41 @@ class TestAircraftRequired:
         with pytest.raises(ValueError, match="utilization must be > 0"):
             aircraft_required(10, 5.0, 0.0)
 
+    @pytest.mark.parametrize("args", [(math.nan, 5.0, 70.0), (10, math.nan, 70.0), (10, 5.0, math.nan)])
+    def test_nan_breaks_every_argument_rule(self, args):
+        with pytest.raises(ValueError, match=r"must be .* got nan$"):
+            aircraft_required(*args)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(0, 10**6), st.one_of(st.floats(0, 1e300, exclude_min=True), st.just(math.inf)),
+       st.one_of(st.floats(0, 1e300, exclude_min=True), st.just(math.inf)))
+@example(0, math.inf, 70.0)
+def test_aircraft_required_is_a_count_or_the_float_range_error(flights, block_hours, utilization):
+    try:
+        assert aircraft_required(flights, block_hours, utilization) >= (flights > 0)
+    except ValueError as exc:
+        assert str(exc).endswith("need more aircraft than the float range holds")
+
+
+@pytest.mark.parametrize("name", ["distance_km", "demand_pax_per_week", "average_fare", "block_hours_per_flight",
+                                  "cost_per_block_hour", "fixed_cost_per_flight", "service_score", "tied_capital"])
+def test_nan_breaks_every_route_number_rule(name):
+    with pytest.raises(ValueError, match=f"^{name} must be .* got nan$"):
+        make_route(**{name: math.nan})
+
 
 class TestFleetType:
     def test_seats_bounded_where_float64_counts_are_exact(self):
         assert FleetType("f", 2**53, 1000.0, 60.0).seats == 2**53
         with pytest.raises(ValueError, match=r"seats must be <= 2\*\*53"):
             FleetType("f", 2**53 + 1, 1000.0, 60.0)
+
+    def test_nan_breaks_the_range_and_utilization_rules(self):
+        with pytest.raises(ValueError, match=r"^range_km must be > 0, got nan$"):
+            FleetType("f", 100, math.nan, 60.0)
+        with pytest.raises(ValueError, match=r"^utilization_block_hours_per_week must be > 0, got nan$"):
+            FleetType("f", 100, 1000.0, math.nan)
 
 
 class TestRangeFeasible:

@@ -1,13 +1,15 @@
 import json
+import math
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from routebayes import rm
+from routebayes.economics import range_feasible
 from routebayes.errors import RouteBayesError
 from routebayes.pipeline import STAGES, evaluate_routes, mean_likelihoods, run_pipeline
 from routebayes.report import Report, report_to_json
@@ -267,3 +269,43 @@ def test_every_loaded_scenario_runs(doc):
         except RouteBayesError:
             continue
         json.loads(report_to_json(report), parse_constant=_reject_constant)
+
+
+DEMO_SCENARIO = load_scenario(DEMO)
+INF, NAN = math.inf, math.nan
+# In range of some fleet, past every range (a320 reaches 5,000 km), NaN and inf.
+DISTANCE = st.one_of(st.floats(1, 5000), st.floats(5000, 1e300, exclude_min=True), st.sampled_from([NAN, INF]))
+ROUTE_CHANGE = st.fixed_dictionaries({}, optional={
+    "fleet": st.sampled_from([*(fleet.name for fleet in DEMO_SCENARIO.fleets), "ghost", None]),
+    "distance_km": DISTANCE,
+    "block_hours_per_flight": st.one_of(st.floats(0.1, 20), st.just(INF)),
+    "demand_pax_per_week": st.one_of(st.just(0.0), st.floats(0, 1e4)),
+})
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(range(len(DEMO_SCENARIO.routes))), ROUTE_CHANGE), max_size=3))
+@example([(0, {"fleet": "ghost"})])
+@example([(0, {"fleet": "e190", "distance_km": 4000.0})])
+@example([(0, {"distance_km": 9000.0})])
+@example([(0, {"distance_km": NAN})])
+@example([(0, {"block_hours_per_flight": INF, "demand_pax_per_week": 0.0})])
+def test_scenario_built_in_python_runs_only_on_fleets_it_can_fly(changes):
+    """A scenario changed with ``dataclasses.replace`` past the loader is refused with a typed error,
+    or runs with every route on a fleet in range that its pin allows, and with finite figures."""
+    routes = list(DEMO_SCENARIO.routes)
+    try:
+        for i, change in changes:
+            routes[i] = replace(routes[i], **change)
+    except ValueError:  # the record's own rules refuse it
+        return
+    scenario = replace(DEMO_SCENARIO, routes=tuple(routes))
+    try:
+        report = run_pipeline(scenario, ["evaluate", "optimize", "plan"])
+    except RouteBayesError:
+        return
+    fleets = {fleet.name: fleet for fleet in scenario.fleets}
+    for route, row in zip(scenario.routes, report.evaluation["routes"], strict=True):
+        assert route.fleet in (None, row["fleet"])
+        assert range_feasible(route, fleets[row["fleet"]])
+    json.loads(report_to_json(report), parse_constant=_reject_constant)

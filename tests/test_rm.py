@@ -91,6 +91,12 @@ class TestDemandModel:
         with pytest.raises(ValueError):
             DemandModel.discrete([])
 
+    def test_nan_breaks_the_mean_and_denied_cost_rules(self):
+        with pytest.raises(ValueError, match=r"^poisson mean must be >= 0, got nan$"):
+            DemandModel.poisson(math.nan)
+        with pytest.raises(ValueError, match=r"^denied_cost must be >= 0, got nan$"):
+            leg(denied_cost=math.nan)
+
     def test_pmf_is_a_read_only_float64_array(self):
         source = np.array([0.25, 0.75])
         for model in (DemandModel.poisson(7.5), DemandModel.discrete(source), DemandModel.deterministic(3)):
