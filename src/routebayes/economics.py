@@ -1,22 +1,22 @@
 """Route and fleet economics: sizing, weekly profit, and driver likelihood scoring.
 
-Everything is planned on a weekly period. Frequencies and aircraft counts are
-integers (ceiling rule); the profit model is linear in block hours plus a
-fixed cost per flight. KPI-to-likelihood scoring is min-max between
-configurable anchors with epsilon clamping, the stand-in for a data-collection
-model that upstream data pipelines would normally supply.
+Everything is planned on a weekly period. Frequencies and aircraft counts are integers (ceiling rule); the profit
+model is linear in block hours plus a fixed cost per flight. KPI-to-likelihood scoring is min-max between configurable
+anchors with epsilon clamping, the stand-in for a data-collection model that upstream data pipelines would normally
+supply.
 
-``evaluate_routes`` scores every route at once in float64 columns; the
-one-route functions run the same sizing helpers, numpy operations that act
-alike on floats and on columns, so the two agree bit for bit. The scenario
-loader shares ``check_route_fleet``, the route-fleet rule, with it.
+``evaluate_routes`` scores every route at once in float64 columns; the one-route functions run the same sizing
+helpers, numpy operations that act alike on floats and on columns, so the two agree bit for bit. The scenario loader
+checks route columns by ``ROUTE_RULES``, which ``Route`` applies, and by ``fleet_candidates``, the route-fleet rule
+as a mask that evaluate_routes applies too; ``check_route_fleet`` names how a route breaks that rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import compress
+from itertools import chain, compress
+from operator import attrgetter
 from types import SimpleNamespace
 
 import numpy as np
@@ -45,18 +45,19 @@ class Route:
     def __post_init__(self):
         if not self.id:
             raise ValueError("route id must be nonempty")
-        if not self.distance_km > 0:
-            raise ValueError(f"distance_km must be > 0, got {self.distance_km!r}")
-        if not self.block_hours_per_flight > 0:
-            raise ValueError(
-                f"block_hours_per_flight must be > 0, got {self.block_hours_per_flight!r}"
-            )
-        if not (0.0 <= self.service_score <= 1.0):
-            raise ValueError(f"service_score must be in [0, 1], got {self.service_score!r}")
-        for name in ("demand_pax_per_week", "average_fare", "cost_per_block_hour",
-                     "fixed_cost_per_flight", "tied_capital"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        for name, bound, holds in ROUTE_RULES:
+            if not holds(value := getattr(self, name)):
+                raise ValueError(f"{name} must be {bound}, got {value!r}")
+
+
+#: Route's value rules in the order it checks them: (field, bound, test of an interval that NaN fails).
+ROUTE_RULES = (
+    ("distance_km", "> 0", lambda x: x > 0),
+    ("block_hours_per_flight", "> 0", lambda x: x > 0),
+    ("service_score", "in [0, 1]", lambda x: (0.0 <= x) & (x <= 1.0)),
+    *((name, ">= 0", lambda x: x >= 0) for name in
+      ("demand_pax_per_week", "average_fare", "cost_per_block_hour", "fixed_cost_per_flight", "tied_capital")),
+)
 
 
 @dataclass(frozen=True)
@@ -79,9 +80,7 @@ class FleetType:
             raise ValueError(f"range_km must be > 0, got {self.range_km!r}")
         if not self.utilization_block_hours_per_week > 0:
             raise ValueError(
-                "utilization_block_hours_per_week must be > 0, "
-                f"got {self.utilization_block_hours_per_week!r}"
-            )
+                f"utilization_block_hours_per_week must be > 0, got {self.utilization_block_hours_per_week!r}")
 
 
 @dataclass(frozen=True)
@@ -228,6 +227,23 @@ ROUTE_NUMBERS = tuple(f.name for f in fields(Route) if f.type == "float")
 _FLEET_NUMBERS = tuple(f.name for f in fields(FleetType) if f.type in ("int", "float"))
 
 
+def _columns(records, names, shape=(-1,)) -> SimpleNamespace:
+    """A float64 column of the given shape per field in ``names`` (two or more), gathered from ``records`` at once."""
+    table = np.fromiter(chain.from_iterable(map(attrgetter(*names), records)), float, len(records) * len(names))
+    return SimpleNamespace(**{name: col.reshape(shape) for name, col in zip(names, table.reshape(-1, len(names)).T)})
+
+
+def fleet_candidates(distance_km, pins, fleets) -> np.ndarray:
+    """The route-fleet rule as a fleets x routes mask, True where a route (its distance and its pin, a fleet name or
+    None) may fly a fleet; a route with none breaks the rule, and ``check_route_fleet`` says how."""
+    index = {fleet.name: k for k, fleet in enumerate(fleets)}
+    # each route's pinned fleet index: -1 when unpinned, len(fleets), which no fleet matches, for an unknown name
+    pinned = np.array([-1 if pin is None else index.get(pin, len(fleets)) for pin in pins], int)
+    in_range = range_feasible(SimpleNamespace(distance_km=distance_km),
+                              SimpleNamespace(range_km=np.array([fleet.range_km for fleet in fleets], float)[:, None]))
+    return in_range & ((pinned < 0) | (np.arange(len(fleets))[:, None] == pinned))
+
+
 def evaluate_routes(scenario) -> RouteColumns:
     """Every route's fleet choice, sizing, profit, likelihoods and posterior at once.
 
@@ -235,16 +251,23 @@ def evaluate_routes(scenario) -> RouteColumns:
     order, so a NaN profit neither replaces nor is replaced. The first failing route in file order raises a
     ValidationError at ``routes[<id>]``: ``check_route_fleet``, then flights, aircraft or weekly seats not finite
     for its candidates in scenario order, then a non-finite likelihood, zero total probability, profit or score.
+    The first two kinds are decided before any route's figures are gathered by its fleet.
     """
     routes, fleets, weights, anchors = scenario.routes, scenario.fleets, scenario.weights, scenario.anchors
-    r = SimpleNamespace(**{name: np.array([getattr(x, name) for x in routes], float) for name in ROUTE_NUMBERS})
-    f = SimpleNamespace(**{name: np.array([getattr(x, name) for x in fleets], float)[:, None]
-                           for name in _FLEET_NUMBERS})
-    index = {fleet.name: k for k, fleet in enumerate(fleets)}
-    # each route's pinned fleet index: -1 when unpinned, len(fleets), which no fleet matches, for an unknown name
-    pins = np.array([-1 if route.fleet is None else index.get(route.fleet, len(fleets)) for route in routes], int)
-    candidates = range_feasible(r, f) & ((pins < 0) | (np.arange(len(fleets))[:, None] == pins))
+    r, f = _columns(routes, ROUTE_NUMBERS), _columns(fleets, _FLEET_NUMBERS, (-1, 1))
+    candidates = fleet_candidates(r.distance_km, [route.fleet for route in routes], fleets)
     demand, eps = r.demand_pax_per_week, anchors.epsilon
+
+    def fault(i):
+        route, path = routes[i], f"routes[{routes[i].id}]"
+        check_route_fleet(route, {fleet.name: fleet for fleet in fleets}, path)
+        for option, n, planes in compress(zip(fleets, flights[:, i], aircraft[:, i]), candidates[:, i]):
+            at(path, _check_flights, n, route.demand_pax_per_week, option.seats, scenario.target_load_factor)
+            at(path, _check_aircraft, planes, n, route.block_hours_per_flight, option.utilization_block_hours_per_week)
+            at(path, _check_seats, n, option.seats, route.demand_pax_per_week)
+        at(path, posterior, weights, at(path, LikelihoodVector, likelihoods[:, i].tolist()))
+        at(path, check_finite, {"profit": chosen[i].item(), "score": columns.score[i].item()})
+
     with np.errstate(all="ignore"):
         flights = _flights(demand, f.seats, scenario.target_load_factor)
         aircraft = _aircraft(flights, r.block_hours_per_flight, f.utilization_block_hours_per_week)
@@ -252,11 +275,14 @@ def evaluate_routes(scenario) -> RouteColumns:
         load_factor = np.where(idle, 0.0, np.minimum(1.0, demand / (flights * f.seats)))
         profit = np.where(idle, 0.0, _profit(r, flights, np.minimum(demand, flights * f.seats)))
         sized = np.isfinite(flights) & np.isfinite(aircraft) & np.isfinite(flights * f.seats)
-        rank = [sorted(index).index(fleet.name) for fleet in fleets]
+        failed = ~candidates.any(0) | (candidates & ~sized).any(0)
+        if failed.all() and routes:  # no route has a fleet to gather by (none is declared, say): the first fails
+            fault(0)
+        rank = np.array([sorted(fleet.name for fleet in fleets).index(x.name) for x in fleets], int)
         fleet, each = np.full(len(routes), -1), np.arange(len(routes))
         for k in range(len(fleets)):
             best = profit[fleet, each]
-            take = (fleet < 0) | (profit[k] > best) | ((profit[k] == best) & (rank[k] < np.take(rank, fleet)))
+            take = (fleet < 0) | (profit[k] > best) | ((profit[k] == best) & (rank[k] < rank[fleet]))
             fleet[candidates[k] & take] = k
         chosen = profit[fleet, each]
         scores = [(value - pair.worst) / (pair.best - pair.worst) for value, pair in (
@@ -267,17 +293,9 @@ def evaluate_routes(scenario) -> RouteColumns:
         columns = RouteColumns([route.id for route in routes], [fleets[k].name for k in fleet.tolist()],
                                flights[fleet, each], aircraft[fleet, each], load_factor[fleet, each], chosen,
                                likelihoods, total, np.divide(contributions, total), total * chosen)
-    failed = ~candidates.any(0) | (candidates & ~sized).any(0) | (total == 0)
-    failed |= ~np.isfinite([*likelihoods, chosen, columns.score]).all(0)
+    failed |= (total == 0) | ~np.isfinite([*likelihoods, chosen, columns.score]).all(0)
     for i in np.flatnonzero(failed)[:1]:
-        route, path = routes[i], f"routes[{routes[i].id}]"
-        check_route_fleet(route, {fleet.name: fleet for fleet in fleets}, path)
-        for option, n, planes in compress(zip(fleets, flights[:, i], aircraft[:, i]), candidates[:, i]):
-            at(path, _check_flights, n, route.demand_pax_per_week, option.seats, scenario.target_load_factor)
-            at(path, _check_aircraft, planes, n, route.block_hours_per_flight, option.utilization_block_hours_per_week)
-            at(path, _check_seats, n, option.seats, route.demand_pax_per_week)
-        at(path, posterior, weights, at(path, LikelihoodVector, likelihoods[:, i].tolist()))
-        at(path, check_finite, {"profit": chosen[i].item(), "score": columns.score[i].item()})
+        fault(i)
     return columns
 
 

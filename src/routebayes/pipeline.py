@@ -1,14 +1,12 @@
 """Pipeline orchestration: evaluate -> optimize -> plan -> rm over one scenario.
 
-Stages always execute in that fixed order. Requesting ``plan`` implies the
-evaluate computation (and ``optimize`` needs it too); the report still
-contains only the sections that were requested. ``evaluate_routes`` scores
-every route at once in float64 columns and names the first failing route in
-file order with its first error. When optimize runs, the optimized weights
-feed the plan stage's probability-weighted scores, otherwise the scenario's
-prior weights do. Reports are deterministic for a fixed scenario, stage set,
-trial count, and seed; only the timestamp varies. Section builders round
-each float with ``round12``; ``uplift_pct`` uses unrounded values.
+Stages always execute in that fixed order. Requesting ``plan`` implies the evaluate computation (and ``optimize``
+needs it too); the report still contains only the sections that were requested. ``evaluate_routes`` scores every
+route at once in float64 columns and names the first failing route in file order with its first error. When optimize
+runs, the optimized weights feed the plan stage's probability-weighted scores, otherwise the scenario's prior weights
+do; ``planner.plan_routes`` plans over the route columns. Reports are deterministic for a fixed scenario, stage set,
+trial count, and seed; only the timestamp varies. Section builders round each float to 12 significant digits, the
+evaluation section's in one pass (``round12_columns``); ``uplift_pct`` uses unrounded values.
 """
 
 from __future__ import annotations
@@ -16,6 +14,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from datetime import datetime, timezone
+from itertools import starmap
 from typing import Iterable
 
 import numpy as np
@@ -25,11 +24,11 @@ from .bayes import LikelihoodVector, WeightVector, left_sum, weighted
 from .economics import RouteColumns, check_finite, evaluate_routes
 from .errors import RouteBayesError, ValidationError, at
 from .optimizer import BoxConstraints, OptimizationResult, optimize_weights
-from .planner import NetworkPlan, RouteCandidate, select_routes
+from .planner import NetworkPlan, RouteCandidate, plan_routes
 from .report import Report
 from .rm import (MAX_TRIALS, RMPolicy, expected_revenue, fcfs_baseline, littlewood_protection, overbooking_limit,
                  simulate_leg)
-from .scenario import Scenario, round12
+from .scenario import Scenario, round12, round12_columns
 
 STAGES = ("evaluate", "optimize", "plan", "rm")
 DEFAULT_TRIALS = 10_000
@@ -65,13 +64,15 @@ def mean_likelihoods(rows: RouteColumns) -> LikelihoodVector:
     return LikelihoodVector(tuple(math.fsum(row) / n for row in rows.likelihoods.tolist()))
 
 
-def build_candidates(rows: RouteColumns, weights: WeightVector) -> list[RouteCandidate]:
+def _candidate_columns(rows: RouteColumns, weights: WeightVector) -> list[list]:
+    """The planner's candidate columns, in the field order of ``RouteCandidate``."""
     probabilities = left_sum(weighted(weights.values, rows.likelihoods))
-    return [
-        RouteCandidate(route_id, fleet, profit, probability, int(aircraft))
-        for route_id, fleet, profit, probability, aircraft in zip(
-            rows.route_ids, rows.fleets, rows.profit.tolist(), probabilities.tolist(), rows.aircraft.tolist())
-    ]
+    return [rows.route_ids, rows.fleets, rows.profit.tolist(), probabilities.tolist(),
+            list(map(int, rows.aircraft.tolist()))]
+
+
+def build_candidates(rows: RouteColumns, weights: WeightVector) -> list[RouteCandidate]:
+    return list(starmap(RouteCandidate, zip(*_candidate_columns(rows, weights))))
 
 
 def _leg_seed(base_seed: int, index: int) -> int:
@@ -81,30 +82,21 @@ def _leg_seed(base_seed: int, index: int) -> int:
 
 def _evaluation_section(scenario: Scenario, rows: RouteColumns) -> dict:
     ids = scenario.hypotheses.ids
-    columns = zip(rows.route_ids, rows.fleets, rows.flights.tolist(), rows.aircraft.tolist(),
-                  rows.load_factor.tolist(), rows.profit.tolist(), rows.likelihoods.T.tolist(),
-                  rows.total_probability.tolist(), rows.posterior.T.tolist(),
-                  rows.posterior.argmax(0).tolist(), rows.score.tolist())  # argmax: the first driver on ties
+    n = len(ids)
+    # one row of rounded figures per route: load factor, profit, total, score, then likelihoods and posterior
+    figures = round12_columns(np.vstack([rows.load_factor, rows.profit, rows.total_probability, rows.score,
+                                         rows.likelihoods, rows.posterior]))
+    columns = zip(rows.route_ids, rows.fleets, map(int, rows.flights.tolist()), map(int, rows.aircraft.tolist()),
+                  figures.T.tolist(), rows.posterior.argmax(0).tolist())  # argmax: the first driver on ties
     return {
         "hypotheses": list(ids),
         "weights": list(map(round12, scenario.weights.values)),
         "target_load_factor": round12(scenario.target_load_factor),
         "routes": [
-            {
-                "route_id": route_id,
-                "fleet": fleet,
-                "flights_per_week": int(flights),
-                "aircraft": int(aircraft),
-                "achieved_load_factor": round12(load_factor),
-                "profit": round12(profit),
-                "likelihoods": list(map(round12, likelihoods)),
-                "total_probability": round12(total),
-                "posterior": list(map(round12, shares)),
-                "top_driver": ids[top],
-                "score": round12(score),
-            }
-            for (route_id, fleet, flights, aircraft, load_factor, profit, likelihoods, total, shares, top,
-                 score) in columns
+            {"route_id": route_id, "fleet": fleet, "flights_per_week": flights, "aircraft": aircraft,
+             "achieved_load_factor": figure[0], "profit": figure[1], "likelihoods": figure[4:4 + n],
+             "total_probability": figure[2], "posterior": figure[4 + n:], "top_driver": ids[top], "score": figure[3]}
+            for route_id, fleet, flights, aircraft, figure, top in columns
         ],
     }
 
@@ -122,15 +114,10 @@ def _optimization_section(scenario: Scenario, result: OptimizationResult, likeli
 
 
 def _plan_section(scenario: Scenario, plan: NetworkPlan, weights_label: str) -> dict:
-    return {
-        "weights_used": weights_label,
-        "selected": list(plan.selected),
-        "used": dict(plan.used),
-        "availability": dict(scenario.availability.counts),
-        "total_score": round12(plan.total_score),
-        "per_route_scores": {rid: round12(score) for rid, score in plan.per_route_scores.items()},
-        "heuristic": plan.heuristic,
-    }
+    return {"weights_used": weights_label, "selected": list(plan.selected), "used": dict(plan.used),
+            "availability": dict(scenario.availability.counts), "total_score": round12(plan.total_score),
+            "per_route_scores": {rid: round12(score) for rid, score in plan.per_route_scores.items()},
+            "heuristic": plan.heuristic}
 
 
 def _rm_leg(leg, trials: int, seed: int) -> dict:
@@ -208,7 +195,7 @@ def run_pipeline(
     plan = None
     if "plan" in requested:
         with _stage_context("plan"):
-            network = at("routes", select_routes, build_candidates(rows, plan_weights), scenario.availability)
+            network = at("routes", plan_routes, *_candidate_columns(rows, plan_weights), scenario.availability)
         plan = _plan_section(scenario, network, weights_label)
     rm = None
     if "rm" in requested:

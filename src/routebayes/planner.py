@@ -1,22 +1,22 @@
 """Network selection: pick routes maximizing probability-weighted profit under fleet limits.
 
-Each candidate arrives with a pre-assigned fleet and an integer aircraft
-need, and scores add up, so the multi-fleet 0/1 knapsack splits into one
-knapsack per fleet. Each is solved exactly, at any size, by an
-O(candidates x aircraft) dynamic program (Martello & Toth 1990, ch. 2).
-Of two tied plans, the one holding the smallest id where they differ wins.
-A fleet whose table would exceed MAX_PLAN_CELLS raises PlanTooLarge rather
-than exhaust memory. Selection is a pure function of its inputs.
+Each candidate arrives with a pre-assigned fleet and an integer aircraft need, and scores add up, so the multi-fleet
+0/1 knapsack splits into one knapsack per fleet. Each is solved exactly, at any size, by an O(candidates x aircraft)
+dynamic program (Martello & Toth 1990, ch. 2). Of two tied plans, the one holding the smallest id where they differ
+wins. A fleet whose table would exceed MAX_PLAN_CELLS raises PlanTooLarge rather than exhaust memory. Selection is a
+pure function of its inputs. ``plan_routes`` is the one planner, over candidate columns; ``select_routes`` hands it
+``RouteCandidate`` records.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 import numpy as np
 
+from .bayes import left_sum
 from .errors import PlanTooLarge
 
 # Largest per-fleet DP table (candidates x aircraft levels) a plan may build.
@@ -37,9 +37,7 @@ class RouteCandidate:
         if not self.route_id:
             raise ValueError("route_id must be nonempty")
         if not (0.0 <= self.total_probability <= 1.0):
-            raise ValueError(
-                f"total_probability must be in [0, 1], got {self.total_probability!r}"
-            )
+            raise ValueError(f"total_probability must be in [0, 1], got {self.total_probability!r}")
         if self.aircraft_needed < 0:
             raise ValueError(f"aircraft_needed must be >= 0, got {self.aircraft_needed!r}")
 
@@ -71,24 +69,15 @@ class NetworkPlan:
 
 def score_candidate(candidate: RouteCandidate) -> float:
     """Probability-weighted expected weekly profit."""
-    return candidate.total_probability * candidate.profit_per_week
+    return _score(candidate.total_probability, candidate.profit_per_week)
 
 
-def _check_candidates(candidates: list[RouteCandidate], availability: FleetAvailability) -> None:
-    seen = set()
-    for c in candidates:
-        if c.route_id in seen:
-            raise ValueError(f"duplicate candidate route_id {c.route_id!r}")
-        seen.add(c.route_id)
-        if c.fleet_name not in availability.counts:
-            raise ValueError(
-                f"candidate {c.route_id!r} needs fleet {c.fleet_name!r}, "
-                "which availability does not list"
-            )
+def _score(probability, profit):
+    return probability * profit
 
 
-def _fleet_select(items: list[tuple[RouteCandidate, float]], available: int) -> list[RouteCandidate]:
-    """Exact 0/1 knapsack over one fleet's id-sorted candidates that fit alone.
+def _fleet_select(fleet: str, items: list[int], needs: list[int], scores: list[float], available: int) -> list[int]:
+    """Exact 0/1 knapsack over one fleet's candidates ``items``, in id order, each of which fits alone.
 
     A backward pass over the candidates in reverse id order fills
     ``best[c]``, the top score of the remaining candidates within ``c``
@@ -96,29 +85,57 @@ def _fleet_select(items: list[tuple[RouteCandidate, float]], available: int) -> 
     Backtracking forward from full availability then takes every tied
     candidate it can, in id order, as the tie rule asks.
     """
-    if sum(cand.aircraft_needed for cand, _ in items) <= available:
-        return [cand for cand, _ in items]
+    if sum(needs[i] for i in items) <= available:
+        return items
     width = available + 1
     if len(items) * width > MAX_PLAN_CELLS:
         raise PlanTooLarge(
-            f"fleet {items[0][0].fleet_name!r}: {len(items)} candidates x {width} aircraft levels "
+            f"fleet {fleet!r}: {len(items)} candidates x {width} aircraft levels "
             f"exceeds the {MAX_PLAN_CELLS} cell planning table"
         )
     best = np.zeros(width)
     take = np.zeros((len(items), width), dtype=bool)
-    for i in range(len(items) - 1, -1, -1):
-        cand, score = items[i]
-        need = cand.aircraft_needed
-        with_it = best[: width - need] + score
-        np.greater_equal(with_it, best[need:], out=take[i, need:])
+    for row in range(len(items) - 1, -1, -1):
+        need = needs[items[row]]
+        with_it = best[: width - need] + scores[items[row]]
+        np.greater_equal(with_it, best[need:], out=take[row, need:])
         np.maximum(best[need:], with_it, out=best[need:])
     chosen = []
     level = width - 1
-    for i, (cand, _) in enumerate(items):
-        if take[i, level]:
-            chosen.append(cand)
-            level -= cand.aircraft_needed
+    for row, i in enumerate(items):
+        if take[row, level]:
+            chosen.append(i)
+            level -= needs[i]
     return chosen
+
+
+def plan_routes(route_ids: list[str], fleets: list[str], profits: list[float], probabilities: list[float],
+                aircraft: list[int], availability: FleetAvailability) -> NetworkPlan:
+    """``select_routes`` over candidate columns, in the field order of ``RouteCandidate``, whose checks come first."""
+    if not (all(route_ids) and all(0.0 <= p <= 1.0 for p in probabilities) and min(aircraft, default=0) >= 0):
+        for candidate in zip(route_ids, fleets, profits, probabilities, aircraft):
+            RouteCandidate(*candidate)  # raises the first candidate's first fault
+    counts = availability.counts
+    if len(set(route_ids)) != len(route_ids) or not counts.keys() >= set(fleets):  # find the first fault in order
+        for i, (route_id, fleet) in enumerate(zip(route_ids, fleets)):
+            if route_ids.index(route_id) < i:
+                raise ValueError(f"duplicate candidate route_id {route_id!r}")
+            if fleet not in counts:
+                raise ValueError(f"candidate {route_id!r} needs fleet {fleet!r}, which availability does not list")
+    scores = list(map(_score, probabilities, profits))
+    if not math.isfinite(positive := sum(max(s, 0.0) for s in scores)):
+        raise ValueError(f"the positive scores sum to {positive!r}, past the float range")
+    by_fleet = {name: [] for name in counts}
+    for i in sorted(range(len(route_ids)), key=route_ids.__getitem__):
+        if scores[i] > 0.0 and aircraft[i] <= counts[fleets[i]]:
+            by_fleet[fleets[i]].append(i)
+    chosen = sorted((i for name, items in by_fleet.items()
+                     for i in _fleet_select(name, items, aircraft, scores, counts[name])), key=route_ids.__getitem__)
+    used = dict.fromkeys(by_fleet, 0)
+    for i in chosen:
+        used[fleets[i]] += aircraft[i]
+    return NetworkPlan(tuple(route_ids[i] for i in chosen), used, left_sum(scores[i] for i in chosen),
+                       dict(zip(route_ids, scores)))
 
 
 def select_routes(
@@ -134,26 +151,4 @@ def select_routes(
     """
     if not isinstance(availability, FleetAvailability):
         availability = FleetAvailability(dict(availability))
-    _check_candidates(candidates, availability)
-    scores = {c.route_id: score_candidate(c) for c in candidates}
-    if not math.isfinite(positive := sum(max(s, 0.0) for s in scores.values())):
-        raise ValueError(f"the positive scores sum to {positive!r}, past the float range")
-    by_fleet = {name: [] for name in availability.counts}
-    for c in sorted(candidates, key=lambda c: c.route_id):
-        if scores[c.route_id] > 0.0 and c.aircraft_needed <= availability.counts[c.fleet_name]:
-            by_fleet[c.fleet_name].append((c, scores[c.route_id]))
-    chosen = sorted(
-        (c for name, items in by_fleet.items() for c in _fleet_select(items, availability.counts[name])),
-        key=lambda c: c.route_id,
-    )
-    used = {name: 0 for name in by_fleet}
-    total = 0.0
-    for c in chosen:
-        used[c.fleet_name] += c.aircraft_needed
-        total += scores[c.route_id]
-    return NetworkPlan(
-        selected=tuple(c.route_id for c in chosen),
-        used=used,
-        total_score=total,
-        per_route_scores=scores,
-    )
+    return plan_routes(*([getattr(c, f.name) for c in candidates] for f in fields(RouteCandidate)), availability)

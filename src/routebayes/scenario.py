@@ -1,24 +1,22 @@
 """Scenario documents: JSON schema, validation, defaults, canonical serialization.
 
-A scenario is one self-contained JSON object whose top-level keys are the
-fields of ``Scenario`` other than ``source``, in that order. Everything except
-``schema_version`` is optional; defaults are documented in the README. The
-parsed source document is kept on the Scenario so canonical re-serialization
-round-trips exactly for files written with at most 12 significant digits.
+A scenario is one self-contained JSON object whose top-level keys are the fields of ``Scenario`` other than
+``source``, in that order. Everything except ``schema_version`` is optional; defaults are documented in the README.
+The parsed source document is kept on the Scenario so canonical re-serialization round-trips exactly for files
+written with at most 12 significant digits.
 
-Validation has two layers. This module checks what no single value can know:
-JSON shape and types, unknown keys, duplicate ids, references between records,
-the 3-driver rule for routes, the load factor and the seed. Each record is
-read by one field table (key -> reader) and handed to its domain constructor
-(``Route``, ``FleetType``, ``AnchorPair``, ``ScoringAnchors``,
-``FleetAvailability``, ``HypothesisSet``, ``validate_simplex``,
-``BoxConstraints``, ``DemandModel``, ``LegRMProblem``), which owns every value
-range and every default. The field tables are derived from the constructors'
-dataclass fields: a field's annotation picks its reader, and a field with a
-default is a key that may be absent, which is then not passed. ``errors.at``
-turns a constructor's ValueError into a ValidationError at the record's path;
-InfeasibleConstraints passes through with its own exit code. Each route meets
-the route-fleet rule, ``economics.check_route_fleet``, as it is read.
+Validation has two layers. This module checks what no single value can know: JSON shape and types, unknown keys,
+duplicate ids, references between records, the 3-driver rule for routes, the load factor and the seed. Each record
+is read by one field table (key -> reader) and handed to its domain constructor (``Route``, ``FleetType``,
+``AnchorPair``, ``ScoringAnchors``, ``FleetAvailability``, ``HypothesisSet``, ``validate_simplex``,
+``BoxConstraints``, ``DemandModel``, ``LegRMProblem``), which owns every value range and every default. The field
+tables are derived from the constructors' dataclass fields: a field's annotation picks its reader, and a field with
+a default is a key that may be absent, which is then not passed. ``errors.at`` turns a constructor's ValueError into
+a ValidationError at the record's path; InfeasibleConstraints passes through with its own exit code.
+
+Routes are read a column at a time: the checks above, ``economics.ROUTE_RULES`` (which ``Route`` applies) and the
+route-fleet rule (``economics.fleet_candidates``) run over whole columns, and each Route is then built unchecked.
+Only when a check fails are the routes read record by record, which raises the first error in file order.
 """
 
 from __future__ import annotations
@@ -27,11 +25,16 @@ import json
 import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
+import numpy as np
+
 from .bayes import DEFAULT_DRIVERS, Hypothesis, HypothesisSet, WeightVector, uniform_weights, validate_simplex
-from .economics import AnchorPair, FleetType, Route, ScoringAnchors, check_route_fleet
+from .economics import ROUTE_NUMBERS, ROUTE_RULES, AnchorPair, FleetType, Route, ScoringAnchors, check_route_fleet
+from .economics import fleet_candidates
 from .errors import DanglingReference, IoError, ParseError, SchemaVersionUnsupported, ValidationError, at
 from .optimizer import BoxConstraints
 from .planner import FleetAvailability
@@ -40,6 +43,7 @@ from .rm import DemandModel, LegRMProblem
 SCHEMA_VERSION = "1"
 
 DEFAULT_TARGET_LOAD_FACTOR = 0.8
+_MAX = sys.float_info.max
 
 @dataclass(frozen=True)
 class RMLeg:
@@ -83,7 +87,7 @@ def _expect_list(value, path: str) -> list:
 
 def _expect_number(value, path: str) -> float:
     # the comparison is false for NaN and also rejects integers too large for a float
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= _MAX:
         raise ValidationError(path, f"expected a finite number, got {value!r}")
     return float(value)
 
@@ -178,9 +182,8 @@ def _parse_hypotheses(doc: dict) -> HypothesisSet:
     if "hypotheses" not in doc:
         return DEFAULT_DRIVERS
     entries = _expect_list(doc["hypotheses"], "hypotheses")
-    return at("hypotheses", HypothesisSet, tuple(
-        Hypothesis(**_read(entry, f"hypotheses[{i}]", _HYPOTHESIS)) for i, entry in enumerate(entries)
-    ))
+    return at("hypotheses", HypothesisSet,
+              tuple(Hypothesis(**_read(entry, f"hypotheses[{i}]", _HYPOTHESIS)) for i, entry in enumerate(entries)))
 
 
 def _parse_weights(doc: dict, n: int) -> WeightVector:
@@ -197,9 +200,8 @@ def _parse_constraints(doc: dict, n: int) -> BoxConstraints | None:
         return None
     bounds = _read(doc["constraints"], "constraints", _CONSTRAINTS)
     if len(bounds["lower"]) != n or len(bounds["upper"]) != n:
-        raise ValidationError(
-            "constraints", f"expected {n} lower and upper bounds, got {len(bounds['lower'])}/{len(bounds['upper'])}"
-        )
+        raise ValidationError("constraints",
+                              f"expected {n} lower and upper bounds, got {len(bounds['lower'])}/{len(bounds['upper'])}")
     return at("constraints", BoxConstraints, **bounds)
 
 
@@ -217,7 +219,44 @@ def _parse_availability(doc: dict, fleets: tuple[FleetType, ...]) -> FleetAvaila
     return at("availability", FleetAvailability, counts)
 
 
+_ROUTE_REQUIRED = _ROUTE.keys() - _OPTIONAL
+_route_text = itemgetter(*(key for key in _ROUTE if _ROUTE[key] is _expect_str and key in _ROUTE_REQUIRED))
+_route_numbers = itemgetter(*ROUTE_NUMBERS)
+
+
+def _routes_by_column(entries, fleets: tuple[FleetType, ...]) -> tuple[Route, ...] | None:
+    """The routes, read a column at a time, if every check of the record-by-record path passes, else None: key sets,
+    number types, ranges and finiteness, strings, distinct ids, ``ROUTE_RULES`` and the route-fleet rule."""
+    if not entries or type(entries) is not list or set(map(type, entries)) - {dict}:
+        return None
+    keys = list(map(dict.keys, entries))
+    if keys.count(_ROUTE.keys()) + keys.count(_ROUTE_REQUIRED) != len(keys):
+        return None
+    text, numbers = list(map(_route_text, entries)), list(map(_route_numbers, entries))
+    strings = [*chain.from_iterable(text), *(e["fleet"] for e in entries if "fleet" in e)]
+    flat = list(chain.from_iterable(numbers))
+    kinds = set(map(type, flat))
+    if (set(map(type, strings)) - {str} or not all(strings) or len({t[0] for t in text}) != len(text)
+            or not kinds <= {int, float}  # an int is compared exactly: one just past the float range rounds into it
+            or int in kinds and not max(abs(v) for v in flat if type(v) is int) <= _MAX):
+        return None
+    table, pins = np.array(numbers, float), [e.get("fleet") for e in entries]  # every int is in the float range
+    least, most = (dict(zip(ROUTE_NUMBERS, ends.tolist())) for ends in (table.min(0), table.max(0)))
+    if not (np.isfinite(table).all()  # each rule tests for an interval, which a column meets when its two ends do
+            and all(holds(least[name]) and holds(most[name]) for name, _, holds in ROUTE_RULES)
+            and fleet_candidates(table[:, ROUTE_NUMBERS.index("distance_km")], pins, fleets).any(0).all()):
+        return None
+    routes = []
+    for labels, figures, pin in zip(text, table.tolist(), pins):  # in field order, and not checked again
+        routes.append(route := object.__new__(Route))
+        vars(route).update(zip(_ROUTE, (*labels, *figures, pin)))
+    return tuple(routes)
+
+
 def _parse_routes(doc: dict, fleets: tuple[FleetType, ...]) -> tuple[Route, ...]:
+    """Read by column; where a check fails, record by record, which raises the first error in file order."""
+    if (routes := _routes_by_column(doc.get("routes"), fleets)) is not None:
+        return routes
     by_name = {f.name: f for f in fleets}
     return tuple(check_route_fleet(at(path, Route, **record), by_name, path)
                  for path, record in _read_list(doc, "routes", _ROUTE, "id", "route id"))
@@ -234,9 +273,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         raise ValidationError("$", "scenario must be a JSON object")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
-        raise SchemaVersionUnsupported(
-            f"schema_version must be {SCHEMA_VERSION!r}, got {version!r}"
-        )
+        raise SchemaVersionUnsupported(f"schema_version must be {SCHEMA_VERSION!r}, got {version!r}")
     _reject_unknown(doc, _TOP_KEYS, "")
     hypotheses = _parse_hypotheses(doc)
     weights = _parse_weights(doc, len(hypotheses))
@@ -251,35 +288,22 @@ def scenario_from_dict(doc: dict) -> Scenario:
     availability = _parse_availability(doc, fleets)
     routes = _parse_routes(doc, fleets)
     if routes and len(hypotheses) != 3:
-        raise ValidationError(
-            "hypotheses",
-            "route scoring maps KPIs onto exactly 3 drivers (service, capital, cost); "
-            f"got {len(hypotheses)}",
-        )
+        raise ValidationError("hypotheses", "route scoring maps KPIs onto exactly 3 drivers (service, capital, cost); "
+                                             f"got {len(hypotheses)}")
     rm_legs = _parse_rm_legs(doc)
     seed = _expect_int(doc.get("seed", 0), "seed")
     if seed < 0:
         raise ValidationError("seed", f"must be >= 0, got {seed!r}")
-    return Scenario(
-        schema_version=version,
-        hypotheses=hypotheses,
-        weights=weights,
-        constraints=constraints,
-        anchors=anchors,
-        target_load_factor=target_lf,
-        fleets=fleets,
-        availability=availability,
-        routes=routes,
-        rm_legs=rm_legs,
-        seed=seed,
-        source={k: doc[k] for k in _TOP_KEYS if k in doc},
-    )
+    return Scenario(schema_version=version, hypotheses=hypotheses, weights=weights, constraints=constraints,
+                    anchors=anchors, target_load_factor=target_lf, fleets=fleets, availability=availability,
+                    routes=routes, rm_legs=rm_legs, seed=seed, source={k: doc[k] for k in _TOP_KEYS if k in doc})
 
 
 def load_scenario(path) -> Scenario:
     """Read, parse, and validate a scenario JSON file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(os.fspath(path), encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -300,6 +324,30 @@ def round12(value: float) -> float:
     return float(f"{value:.12g}")
 
 
+#: ``_POW10[k]`` is 10**abs(k) for k in -22..23, a negative k counting from the end; exact but for 10**23.
+_POW10 = np.array([float(10**k) for k in (*range(24), *range(22, 0, -1))])
+
+
+def round12_columns(values) -> np.ndarray:
+    """``round12`` of every entry of a float array, bit for bit, in one numpy pass. An entry of magnitude in [1e-11,
+    1e33) is scaled by the exact power of ten that gives it 12 digits before the point, rounded to an integer n and
+    scaled back: both are exact, so the last step rounds as parsing the digits does. Scaling errs by under 1.2e-4, so
+    entries within 1e-3 of a tie or whose n has not 12 digits go to ``round12``, and so do zeros and all the rest."""
+    x = np.asarray(values, float)
+    size = np.abs(x)
+    direct = (size >= 1e-11) & (size < 1e33)
+    with np.errstate(all="ignore"):
+        safe = np.where(direct, size, 1.0)
+        shift = (11 - np.floor(np.log10(safe))).astype(np.intp)
+        up, power = shift >= 0, _POW10[shift]
+        scaled = np.where(up, safe * power, safe / power)
+        n = np.rint(scaled)
+        direct &= (np.abs(scaled - n) < 0.499) & (n >= 1e11) & (n < 1e12)
+        out = np.copysign(np.where(up, n / power, n * power), x)
+    out[~direct] = [round12(v) for v in x[~direct].tolist()]
+    return out
+
+
 def round_tree(value):
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
@@ -317,15 +365,19 @@ def dump_scenario(scenario: Scenario) -> dict:
     return round_tree(dict(scenario.source))
 
 
+class JsonText(str):
+    """JSON text written for its place in a tree, indent included, which ``json_text`` copies as it is."""
+
+
 def json_text(value, pad: str = "\n") -> str:
     """The text of ``json.dumps(value, indent=2, allow_nan=False)`` for trees of dict, list, str, int, float, bool
     and None, in one pass: with ``indent`` set, the standard encoder runs a Python generator per container."""
     if isinstance(value, float):
-        if not abs(value) <= sys.float_info.max:  # false for NaN too
+        if not abs(value) <= _MAX:  # false for NaN too
             raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
         return float.__repr__(value)
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
+        return value if type(value) is JsonText else encode_basestring_ascii(value)
     if value is None or isinstance(value, bool):
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):
@@ -346,9 +398,10 @@ def scenario_to_json(scenario: Scenario) -> str:
 
 def atomic_write_text(path, text: str) -> None:
     """Write via a temp file in the same directory, then rename into place; mode 0o666 less the umask, as open()."""
-    target = Path(path)
-    # a str, not a Path: pathlib interns the parts of each path it parses, and every temp name is new
-    tmp = os.path.join(target.parent, f".{target.name}.{os.urandom(6).hex()}")
+    head, name = os.path.split(target := os.fspath(path))
+    if name in ("", "."):  # a trailing separator or dot: read as pathlib reads it, which names the last real part
+        head, name = (target := Path(path)).parent, target.name
+    tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from routebayes import rm
 from routebayes.economics import range_feasible
-from routebayes.errors import RouteBayesError
+from routebayes.errors import RouteBayesError, ValidationError
 from routebayes.pipeline import STAGES, evaluate_routes, mean_likelihoods, run_pipeline
 from routebayes.report import Report, report_to_json
 from routebayes.scenario import load_scenario, round12, scenario_from_dict
@@ -309,3 +309,29 @@ def test_scenario_built_in_python_runs_only_on_fleets_it_can_fly(changes):
         assert route.fleet in (None, row["fleet"])
         assert range_feasible(route, fleets[row["fleet"]])
     json.loads(report_to_json(report), parse_constant=_reject_constant)
+
+
+def test_scenario_built_in_python_without_fleets_names_its_first_route():
+    """No route has a fleet to be evaluated on, so the first route fails by the route-fleet rule."""
+    scenario = replace(load_scenario(DEMO), fleets=())
+    with pytest.raises(ValidationError, match=r"^stage evaluate: routes\[hub_coastal\]: "
+                                              "no fleet with sufficient range for this route$") as caught:
+        run_pipeline(scenario, ["evaluate"])
+    assert caught.value.path == "routes[hub_coastal]"
+
+
+def test_total_probability_rounded_past_one_is_a_typed_error():
+    """Weights that sum to one up to rounding and likelihoods clamped to 1.0 give a total of 1 + 2**-52, which
+    the planner refuses; the refusal names the routes, so the command line reports it as a validation error."""
+    scenario = scenario_from_dict({
+        "schema_version": "1", "weights": [0.726633331009591, 0.12995972833530273, 0.1434069406551063],
+        "anchors": {"service": {"worst": 0, "best": 0.5}, "capital": {"worst": 1e7, "best": 1e6},
+                    "cost": {"worst": -1e5, "best": 1.0}, "epsilon": 5e-324},
+        "fleets": [{"name": "jet", "seats": 150, "range_km": 5000, "utilization_block_hours_per_week": 60}],
+        "routes": [{"id": "r", "origin": "A", "destination": "B", "distance_km": 800, "demand_pax_per_week": 900,
+                    "average_fare": 1500, "block_hours_per_flight": 2, "cost_per_block_hour": 3000,
+                    "fixed_cost_per_flight": 500, "service_score": 0.9, "tied_capital": 1e5}],
+    })
+    with pytest.raises(ValidationError, match=r"^stage plan: routes: total_probability must be in \[0, 1\], "
+                                              r"got 1\.0000000000000002$"):
+        run_pipeline(scenario, ["plan"])
