@@ -1,25 +1,21 @@
 """Single-leg revenue management: two fare classes, protection, overbooking.
 
-Booking protocol: low-fare requests arrive first and are accepted up to the
-booking limit minus the protection level; high-fare requests then fill the
-rest of the booking limit. Accepted passengers show up independently with
-``show_up_prob``; fares are collected from the passengers who show, and every
-survivor beyond physical capacity costs a flat denied-boarding amount.
+Booking protocol: low-fare requests arrive first and are accepted up to the booking limit minus the protection
+level; high-fare requests then fill the rest of the booking limit. Accepted passengers show up independently with
+``show_up_prob``; fares are collected from the passengers who show, and every survivor beyond physical capacity
+costs a flat denied-boarding amount.
 
-Expectations are exact sums over the truncated demand distributions. A
-Poisson pmf is ``exp(k log(mean) - mean - lgamma(k + 1))``, with lgamma taken
-for that model alone and nothing kept between models, cut at the smallest
-support whose tail mass is below 1e-9. Each leg keeps one sweep of its
-binomial show-up tails, to the first booking that no longer pays (the
-overbooking limit, at most 3 x capacity; a call past it sweeps to 3 x capacity
-alone), with the point mass as mantissa and binary exponent so it cannot
-underflow. Expected revenue is one ``fsum``, largest term first, over
-a = min(D_low, B - P), the accepted low fares under booking limit B and
-protection P. The Monte Carlo path uses numpy's PCG64 generator seeded
-explicitly. A demand draw is the inverse CDF, found by an indexed
-(guide-table) search that returns exactly the binary-search index; draw order
-per trial is low demand, high demand, low show-ups, high show-ups, so
-identical inputs and seed reproduce summaries bit for bit.
+Expectations are exact sums over the truncated demand distributions. A Poisson pmf is ``exp(k log(mean) - mean -
+lgamma(k + 1))``, with lgamma taken for that model alone and nothing kept between models, cut at the smallest
+support whose tail mass is below 1e-9. Each leg keeps one sweep of its binomial show-up tails, to the first booking
+that no longer pays (the overbooking limit, at most 3 x capacity; a call past it sweeps to 3 x capacity alone), with
+the point mass as mantissa and binary exponent so it cannot underflow. Expected revenue is one ``fsum``, largest
+term first, over a = min(D_low, B - P), the accepted low fares under booking limit B and protection P. The Monte
+Carlo path uses numpy's PCG64 generator seeded explicitly. A demand draw is the inverse CDF, found by an indexed
+(guide-table) search that returns exactly the binary-search index. The show-up draws are numpy's own binomial
+inversion, evaluated a block of trials at a time by a guide table and certified, with ``rng.binomial`` drawing any
+block that fails. Draw order per trial is low demand, high demand, low show-ups, high show-ups, so identical inputs
+and seed reproduce summaries bit for bit.
 """
 
 from __future__ import annotations
@@ -38,8 +34,10 @@ OVERBOOKING_SEARCH_FACTOR = 3
 #: any booking limit, and |D_low| x |D_high|, which bounds the multiply-adds of
 #: expected_revenue's denied-boarding correlation, each stay within this many cells.
 MAX_RM_CELLS = 10**6
-#: Most Monte Carlo trials per leg: simulate_leg peaks at about 11 arrays of 8 bytes per trial, 84-85 MiB here.
+#: Most Monte Carlo trials per leg: simulate_leg peaks at about 6 arrays of 8 bytes per trial, 46 MiB here.
 MAX_TRIALS = 10**6
+#: Trials per block of _binomial's show-up draws (each of a block's arrays 128 KiB), and its certificate's margin.
+_BLOCK, _MARGIN = 1 << 14, 2.0**-40
 
 
 def _tails(pmf) -> np.ndarray:
@@ -281,39 +279,86 @@ def _sample_demand(model: DemandModel, uniforms: np.ndarray) -> np.ndarray:
     return np.minimum(draws, model.truncation, out=draws)
 
 
-def simulate_leg(
-    problem: LegRMProblem, policy: RMPolicy, trials: int, seed: int
-) -> LegSimulationSummary:
+def _binomial(rng: np.random.Generator, n: np.ndarray, p: float) -> np.ndarray:
+    """``rng.binomial(n, p)`` for a 1-d int64 array n: the same draws, and the generator left in the same state.
+
+    For r = min(p, 1 - p), q = 1 - r and r n <= 30, numpy inverts (BINV; Kachitvichyanukul and Schmeiser, CACM 31(2),
+    1988): X is the first k with U <= S_k, for one uniform U per trial with n > 0 and the partial sums S_k of px_0 =
+    exp(n log q), px_k = px_(k-1) (n - k + 1) r / (k q); past floor(min(n, nr + 10 sqrt(nrq + 1))) it draws again; it
+    returns n - X if p > 0.5. Here S_k is tabled per n with a guide table of 256 buckets, and a block of trials draws
+    its U by ``rng.random``. The block is certified if every X is within its bound and every U lies more than 2**-40 =
+    8192u (u = 2**-53) from S_(X-1) and S_X; these sums and numpy's differ by under 900u (px_k: four roundings a factor
+    in both, 8Wu for W <= 87 terms; exp: an ulp or two; this cumsum and numpy's ``U -= px``: Wu each). numpy draws any
+    other block, from its first state, and all of n in its BTPE range (r max(n) > 30) or at under 32 trials per row.
+    """
+    r = p if p <= 0.5 else 1.0 - p
+    lo, hi = (int(n.min()), int(n.max())) if n.size else (0, 0)
+    if not (0.0 < p <= 1.0 and 0 <= lo and 0 < hi and r * hi <= 30.0 and hi - lo < min(n.size, _BLOCK) >> 5):
+        return rng.binomial(n, p)
+    q, sizes = 1.0 - r, np.arange(lo, hi + 1)
+    bound = np.minimum(sizes, sizes * r + 10.0 * np.sqrt(sizes * r * q + 1.0) - 1e-9).astype(np.int64)  # <= numpy's
+    k = np.arange(1, bound.max() + 4)[:, None]  # 3 rows to spare past the bound, for the window below
+    sums = np.vstack([np.exp(sizes * math.log(q)), (sizes - k + 1) * r / (k * q)])  # S_k for n = lo + j at [k, j]
+    sums = np.cumsum(np.cumprod(sums, axis=0, out=sums), axis=0, out=sums)
+    top = sums[bound, np.arange(sizes.size)].min()  # every U below it has X <= bound
+    slot = np.minimum(sums * 256, 256).astype(np.int64) + np.arange(0, sizes.size * 257, 257)  # S_k's bucket
+    spread = np.bincount(slot.ravel(), minlength=sizes.size * 257)  # the sums in each bucket, and below it:
+    guide, draws = spread.reshape(-1, 257).cumsum(axis=1).ravel() - spread, np.empty(n.shape, np.int64)
+    for start in range(0, n.size, _BLOCK):
+        block, state = n[start:start + _BLOCK], rng.bit_generator.state
+        u = np.full(block.size, 2.0**-9)  # n = 0 draws nothing; U = 1/512, mid-bucket below S_0 = 1, gives it X = 0
+        u[block > 0] = rng.random(np.count_nonzero(block))
+        x = _inversion(u, block, lo, p > 0.5, guide, spread, sums) if u.max() < top else None
+        if x is None:  # numpy draws the block from where it began
+            rng.bit_generator.state = state
+        draws[start:start + _BLOCK] = rng.binomial(block, p) if x is None else x
+    return draws
+
+
+def _inversion(u, n, lo, flip, guide, spread, sums) -> np.ndarray | None:
+    """X (n - X if ``flip``) for each U and n from ``_binomial``'s tables; None if a U is near a sum."""
+    at = (u * 256).astype(np.int64)
+    if not np.abs(u * 256 - at - 0.5).max() < 0.5 - 256 * _MARGIN:  # every U more than the margin inside its bucket
+        return None
+    at += (n - lo) * 257
+    x, split, flat, width = guide[at], np.flatnonzero(spread[at]), sums.ravel(), sums.shape[1]
+    near, far = split[spread[at[split]] <= 4], split[spread[at[split]] > 4]  # count the bucket's sums below U
+    x[near] += (flat[(x[near] * width + n[near] - lo)[:, None] + np.arange(0, 4 * width, width)] < u[near, None]).sum(1)
+    x[far] = (sums[:, n[far] - lo] < u[far]).sum(axis=0)
+    at = x[split] * width + n[split] - lo  # S_X; one row back from X = 0 is the last row, above every U
+    gaps = np.minimum(flat[at] - u[split], np.abs(u[split] - flat[at - width]))
+    return None if gaps.min(initial=1.0) <= _MARGIN else np.subtract(n, x, out=x) if flip else x
+
+
+def simulate_leg(problem: LegRMProblem, policy: RMPolicy, trials: int, seed: int) -> LegSimulationSummary:
     """Seeded Monte Carlo of the booking protocol.
 
-    Uses numpy's PCG64 stream (``numpy.random.default_rng(seed)``); per trial the draws are low demand,
-    high demand, then binomial show-ups per class. A demand draw is the inverse CDF by an indexed search,
-    which returns exactly the binary-search index. denied_rate is denied passengers over all survivors,
-    spill_rate is rejected requests over all requests (0 when the denominator is 0).
+    Uses numpy's PCG64 stream (``numpy.random.default_rng(seed)``); per trial the draws are low demand, high demand,
+    then binomial show-ups per class. A demand draw is the inverse CDF by an indexed search, which returns exactly the
+    binary-search index; the show-ups are ``rng.binomial``'s own, by ``_binomial``. denied_rate is denied passengers
+    over all survivors, spill_rate is rejected requests over all requests (0 when the denominator is 0).
     """
     _check_policy(problem, policy)
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be >= 1 and <= {MAX_TRIALS}, got {trials!r}")
     rng = np.random.default_rng(seed)
-    d_low = _sample_demand(problem.demand_low, rng.random(trials))
-    d_high = _sample_demand(problem.demand_high, rng.random(trials))
-    acc_low = np.minimum(d_low, policy.booking_limit - policy.protection_level)
-    acc_high = np.minimum(d_high, policy.booking_limit - acc_low)
-    show_low = rng.binomial(acc_low, problem.show_up_prob)
-    show_high = rng.binomial(acc_high, problem.show_up_prob)
-    survivors = show_low + show_high
-    boarded = np.minimum(survivors, problem.capacity)
-    denied = survivors - boarded
-    revenue = problem.fare_low * show_low + problem.fare_high * show_high - problem.denied_cost * denied
-    total_survivors = int(survivors.sum())
-    total_requests = int(d_low.sum()) + int(d_high.sum())
+    # each array is overwritten in place once its total is taken, in the operations and order of a fresh array
+    acc_low = _sample_demand(problem.demand_low, rng.random(trials))
+    acc_high = _sample_demand(problem.demand_high, rng.random(trials))
+    total_requests = int(acc_low.sum()) + int(acc_high.sum())
+    np.minimum(acc_low, policy.booking_limit - policy.protection_level, out=acc_low)
+    np.minimum(acc_high, policy.booking_limit - acc_low, out=acc_high)
     spilled = total_requests - int(acc_low.sum()) - int(acc_high.sum())
+    show_low, show_high = _binomial(rng, acc_low, problem.show_up_prob), _binomial(rng, acc_high, problem.show_up_prob)
+    revenue = problem.fare_low * show_low
+    revenue += problem.fare_high * show_high
+    survivors = np.add(show_low, show_high, out=acc_low)
+    total_survivors = int(survivors.sum())
+    boarded = np.minimum(survivors, problem.capacity, out=acc_high)
+    denied = np.subtract(survivors, boarded, out=survivors)
+    revenue -= problem.denied_cost * denied
     se = float(revenue.std(ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0
     return LegSimulationSummary(
-        trials=trials,
-        mean_revenue=float(revenue.mean()),
-        mean_load_factor=float((boarded / problem.capacity).mean()),
+        trials=trials, mean_revenue=float(revenue.mean()), mean_load_factor=float((boarded / problem.capacity).mean()),
         denied_rate=float(denied.sum()) / total_survivors if total_survivors else 0.0,
-        spill_rate=float(spilled) / total_requests if total_requests else 0.0,
-        mean_revenue_se=se,
-    )
+        spill_rate=float(spilled) / total_requests if total_requests else 0.0, mean_revenue_se=se)

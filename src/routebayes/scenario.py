@@ -365,8 +365,9 @@ def dump_scenario(scenario: Scenario) -> dict:
     return round_tree(dict(scenario.source))
 
 
-class JsonText(str):
-    """JSON text written for its place in a tree, indent included, which ``json_text`` copies as it is."""
+@dataclass(frozen=True)
+class JsonText:
+    text: str  # JSON text written for its place in a tree, indent included: ``json_text`` returns it as it stands
 
 
 def json_text(value, pad: str = "\n") -> str:
@@ -377,7 +378,7 @@ def json_text(value, pad: str = "\n") -> str:
             raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
         return float.__repr__(value)
     if isinstance(value, str):
-        return value if type(value) is JsonText else encode_basestring_ascii(value)
+        return encode_basestring_ascii(value)
     if value is None or isinstance(value, bool):
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):
@@ -389,6 +390,8 @@ def json_text(value, pad: str = "\n") -> str:
     if isinstance(value, dict):
         items = [encode_basestring_ascii(k) + ": " + json_text(v, inner) for k, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if type(value) is JsonText:
+        return value.text
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 

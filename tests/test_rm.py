@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -34,6 +35,7 @@ from routebayes.rm import (
     expected_revenue,
     fcfs_baseline,
     littlewood_protection,
+    _binomial,
     _sample_demand,
     _show_up_sweep,
     _tails,
@@ -582,6 +584,96 @@ class TestSampleDemand:
         assert np.array_equal(got, want)
 
 
+def _generator_at(u):
+    """A PCG64 generator whose next ``random()`` is u, a multiple of 2**-53 in [0, 1).
+
+    PCG64 steps its 128-bit state (state * multiplier + inc) and outputs the XSL-RR of the new state: its two 64-bit
+    halves XORed, rotated by its top six bits (zero here); ``random()`` keeps the output's top 53 bits.
+    """
+    multiplier, inc, high = (2549297995355413924 << 64) + 4865540595714422341, 2**64 + 1, 0x0123456789ABCDEF
+    state = (high << 64) | (high ^ (int(u * 2**53) << 11))
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                               "state": {"state": (state - inc) * pow(multiplier, -1, 2**128) % 2**128, "inc": inc}}
+    return rng
+
+
+def _binv_sums(n, p):
+    """The partial sums S_0..S_bound of numpy's binomial inversion for Bin(n, p), in Python floats."""
+    r = min(p, 1.0 - p)
+    q, px = 1.0 - r, math.exp(n * math.log(1.0 - r))
+    sums = [px]
+    for k in range(1, int(min(n, n * r + 10.0 * math.sqrt(n * r * q + 1.0))) + 1):
+        px = (n - k + 1) * r * px / (k * q)
+        sums.append(sums[-1] + px)
+    return sums
+
+
+SHOW_UP = st.one_of(st.sampled_from([1.0, 0.5, float(np.nextafter(0.5, 1.0)), 1e-300, 1.0 - 2.0**-53, 0.92, 0.08]),
+                    st.floats(0.0, 1.0))
+
+
+class TestBinomial:
+    """``_binomial`` returns what ``rng.binomial`` returns, and leaves the generator where that call leaves it."""
+
+    @staticmethod
+    def _check(n, p, got, want):
+        draws, expected = _binomial(got, n, p), want.binomial(n, p)
+        assert draws.dtype == expected.dtype == np.int64
+        assert np.array_equal(draws, expected)
+        assert np.array_equal(got.random(3), want.random(3))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(0, 400), st.integers(0, 150), st.integers(1, 3000), st.booleans(), SHOW_UP,
+           st.integers(0, 2**32 - 1))
+    @example(0, 0, 100, False, 0.92, 1)  # all zeros
+    @example(7, 0, 1, False, 0.5, 2)  # one trial
+    @example(300, 0, 64, False, 0.9, 3)  # r n just under 30: numpy inverts
+    @example(301, 0, 64, False, 0.9, 4)  # just over: numpy's BTPE
+    @example(50, 30, 2**16 + 1, True, 0.92, 5)  # several blocks, with zeros
+    def test_equals_numpy(self, low, span, size, zeros, p, seed):
+        n = np.random.default_rng(seed).integers(low, low + span + 1, size)
+        if zeros:
+            n[::3] = 0
+        self._check(n, p, np.random.default_rng(seed), np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("n, p", [(60, 0.92), (100, 0.3), (31, 0.92)])
+    def test_uniforms_beside_a_partial_sum(self, n, p):
+        """A U a few ulps from some S_k, where a count of the sums below U and numpy's running subtraction can
+        disagree, and the largest U below 1, which lies past S_bound at n = 31 (numpy draws again there): numpy
+        draws those blocks."""
+        for s in _binv_sums(n, p) + [1.0]:
+            for u in (math.floor(s * 2**53) / 2**53 + j * 2**-53 for j in range(-3, 4)):
+                if 0.0 <= u < 1.0:
+                    assert _generator_at(u).random() == u
+                    self._check(np.full(32, n), p, _generator_at(u), _generator_at(u))
+
+    def test_uniform_on_a_bucket_edge(self):
+        """S_0 = exp(n log q) by np.exp (here) and by libm's exp (numpy) on either side of a bucket edge j/256, with
+        U on that edge: no sum of this table lies in U's bucket, yet the two draws differ, so numpy draws the block.
+        The cases are those where this host's np.exp and libm's exp differ."""
+        for n, j, t in itertools.product(range(1, 5), range(1, 256), range(-4, 5)):
+            q = (j / 256) ** (1 / n) + t * 2**-53
+            first_sums = np.exp(np.array([n]) * math.log(q))[0], math.exp(n * math.log(q))
+            if q >= 0.5 and min(first_sums) < j / 256 <= max(first_sums):
+                self._check(np.full(32, n), 1.0 - q, _generator_at(j / 256), _generator_at(j / 256))
+
+    def test_leg_sized_draws_are_certified(self, monkeypatch):
+        inversion, results = rm._inversion, []
+        monkeypatch.setattr(rm, "_inversion", lambda *args: results.append(inversion(*args)) or results[-1])
+        n = np.minimum(np.random.default_rng(8).poisson(170.0, 10_000), 180)
+        self._check(n, 0.92, np.random.default_rng(9), np.random.default_rng(9))
+        n[::7] = 0
+        self._check(n, 0.08, np.random.default_rng(10), np.random.default_rng(10))
+        assert len(results) == 2 and all(x is not None for x in results)
+
+    def test_failed_certificate_leaves_the_block_to_numpy(self, monkeypatch):
+        inversion = rm._inversion
+        monkeypatch.setattr(rm, "_inversion", lambda *args: [inversion(*args), None][1])
+        n = np.random.default_rng(11).integers(40, 70, 2**15 + 3)
+        self._check(n, 0.92, np.random.default_rng(12), np.random.default_rng(12))
+
+
 RM_LEGS = [
     pytest.param(rm_leg, id=f"{path.parent.name}/{path.stem}/{rm_leg.id}")
     for folder in ("tests/data/corpus", "tests/data/regress", "tests/data/golden/inputs", "scenarios")
@@ -605,6 +697,15 @@ def test_simulation_equals_binary_search_simulation(rm_leg, monkeypatch):
     policy = RMPolicy(littlewood_protection(problem), overbooking_limit(problem))
     shipped = _simulations(problem, policy)
     monkeypatch.setattr("routebayes.rm._sample_demand", sample_demand_binary_search)
+    assert _simulations(problem, policy) == shipped
+
+
+@pytest.mark.parametrize("rm_leg", RM_LEGS)
+def test_simulation_equals_numpy_binomial_simulation(rm_leg, monkeypatch):
+    problem = rm_leg.problem
+    policy = RMPolicy(littlewood_protection(problem), overbooking_limit(problem))
+    shipped = _simulations(problem, policy)
+    monkeypatch.setattr("routebayes.rm._binomial", lambda rng, n, p: rng.binomial(n, p))
     assert _simulations(problem, policy) == shipped
 
 
