@@ -122,13 +122,17 @@ def _plan_section(scenario: Scenario, plan: NetworkPlan, weights_label: str) -> 
 
 def _rm_leg(leg, trials: int, seed: int) -> dict:
     problem = leg.problem
-    protection = littlewood_protection(problem)
-    limit = overbooking_limit(problem)
-    policy = RMPolicy(protection_level=protection, booking_limit=limit)
-    expected = expected_revenue(problem, policy)
-    fcfs = fcfs_baseline(problem)
+    try:  # under _rm_section's errstate, an overflow in the kernels raises
+        protection = littlewood_protection(problem)
+        limit = overbooking_limit(problem)
+        policy = RMPolicy(protection_level=protection, booking_limit=limit)
+        expected = expected_revenue(problem, policy)
+        fcfs = fcfs_baseline(problem)
+        summary = simulate_leg(problem, policy, trials, seed)
+    except FloatingPointError as exc:
+        raise ValueError(f"a revenue figure at fare_high {problem.fare_high!r}, fare_low {problem.fare_low!r} and "
+                         f"denied_cost {problem.denied_cost!r} passes the float range") from exc
     uplift = round12(100.0 * (expected - fcfs) / fcfs) if fcfs != 0.0 else None
-    summary = simulate_leg(problem, policy, trials, seed)
     row = {
         "leg_id": leg.id,
         "protection_level": protection,
@@ -149,7 +153,7 @@ def _rm_leg(leg, trials: int, seed: int) -> dict:
 
 
 def _rm_section(scenario: Scenario, trials: int, seed: int) -> dict:
-    """One row per leg; an error, a numpy overflow or a non-finite figure names the leg."""
+    """One row per leg; an error, an overflow or a non-finite figure names the leg."""
     with np.errstate(over="raise", invalid="raise"):
         legs = [at(f"rm_legs[{leg.id}]", _rm_leg, leg, trials, _leg_seed(seed, i))
                 for i, leg in enumerate(scenario.rm_legs)]

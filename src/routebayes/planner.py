@@ -1,11 +1,11 @@
 """Network selection: pick routes maximizing probability-weighted profit under fleet limits.
 
 Each candidate arrives with a pre-assigned fleet and an integer aircraft need, and scores add up, so the multi-fleet
-0/1 knapsack splits into one knapsack per fleet. Each is solved exactly, at any size, by an O(candidates x aircraft)
-dynamic program (Martello & Toth 1990, ch. 2). Of two tied plans, the one holding the smallest id where they differ
-wins. A fleet whose table would exceed MAX_PLAN_CELLS raises PlanTooLarge rather than exhaust memory. Selection is a
-pure function of its inputs. ``plan_routes`` is the one planner, over candidate columns; ``select_routes`` hands it
-``RouteCandidate`` records.
+0/1 knapsack splits into one knapsack per fleet. Each is solved exactly by an O(candidates x aircraft) dynamic
+program (Martello & Toth 1990, ch. 2) while its table holds at most MAX_PLAN_CELLS cells; a larger one raises
+PlanTooLarge rather than exhaust memory. Of two tied plans, the one holding the smallest id where they differ wins.
+Selection is a pure function of its inputs. ``plan_routes`` is the one planner, over candidate columns;
+``select_routes`` hands it ``RouteCandidate`` records, whose constructor is the one place their rules are checked.
 """
 
 from __future__ import annotations
@@ -111,10 +111,8 @@ def _fleet_select(fleet: str, items: list[int], needs: list[int], scores: list[f
 
 def plan_routes(route_ids: list[str], fleets: list[str], profits: list[float], probabilities: list[float],
                 aircraft: list[int], availability: FleetAvailability) -> NetworkPlan:
-    """``select_routes`` over candidate columns, in the field order of ``RouteCandidate``, whose checks come first."""
-    if not (all(route_ids) and all(0.0 <= p <= 1.0 for p in probabilities) and min(aircraft, default=0) >= 0):
-        for candidate in zip(route_ids, fleets, profits, probabilities, aircraft):
-            RouteCandidate(*candidate)  # raises the first candidate's first fault
+    """``select_routes`` over candidate columns, in the field order of ``RouteCandidate``, whose rules they meet (the
+    probabilities up to rounding): its callers pass checked records or the columns ``evaluate_routes`` made."""
     counts = availability.counts
     if len(set(route_ids)) != len(route_ids) or not counts.keys() >= set(fleets):  # find the first fault in order
         for i, (route_id, fleet) in enumerate(zip(route_ids, fleets)):

@@ -1,8 +1,8 @@
 """Report container and emitters (json, csv, table).
 
 JSON is the canonical form: stable key order, floats at 12 significant digits (the pipeline rounds each float as it
-builds a section, so emitting and re-parsing is lossless), written by ``scenario.json_text`` with the bytes of
-``json.dumps(indent=2)``; the evaluation section's route rows are filled into one % template where they all fit it.
+builds a section, so emitting and re-parsing is lossless), written by ``scenario.json_text``, the one JSON writer,
+with the bytes of ``json.dumps(indent=2)``.
 CSV writes one file per section with fixed, documented headers; the table format is for reading at a terminal. Both
 are drawn from ``_SECTIONS``, which describes each printed section once. File output is atomic (temp file plus
 rename).
@@ -10,18 +10,16 @@ rename).
 
 import csv
 import io
-import math
 import os
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from itertools import repeat, starmap
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 
 from .errors import IoError
-from .scenario import JsonText, atomic_write_text, json_text
+from .scenario import atomic_write_text, json_text
 
 FORMATS = ("json", "csv", "table")
 
@@ -45,39 +43,7 @@ class Report:
 
 
 def report_to_json(report: Report) -> str:
-    """``json_text`` of the report, the route rows of ``evaluation`` filled into one % template where they fit it."""
-    doc, routes = report.to_dict(), (report.evaluation or {}).get("routes")
-    if type(routes) is list and routes and (text := _rows_json(routes, "\n    ")) is not None:
-        doc["evaluation"] = report.evaluation | {"routes": JsonText(text)}
-    return json_text(doc) + "\n"
-
-
-_FIELDS = {str: "%s", int: "%r", float: "%r"}  # each as json_text writes it, a str once escaped
-
-
-def _rows_json(rows: list, pad: str) -> str | None:
-    """``json_text(rows, pad)`` by a % template made from the first record, or None where a record differs from
-    it in keys or value types or holds other than a str, int, finite float or nonempty list of those."""
-    keys = tuple(rows[0]) if type(rows[0]) is dict else ()
-    if not keys or any(type(row) is not dict or tuple(row) != keys for row in rows):
-        return None
-    item, inner, leaf = pad + "  ", pad + "    ", pad + "      "
-    parts, columns = [], []
-    for key, cells in zip(keys, zip(*map(dict.values, rows))):  # the records' values line up: their keys do
-        nested, formats = type(cells[0]) is list, []
-        if nested and not (cells[0] and all(type(cell) is list and len(cell) == len(cells[0]) for cell in cells)):
-            return None
-        for column in (zip(*cells) if nested else [cells]):
-            kind = type(column[0])
-            if kind not in _FIELDS or set(map(type, column)) != {kind} or (
-                    kind is float and not all(map(math.isfinite, column))):
-                return None
-            formats.append(_FIELDS[kind])
-            columns.append(list(map(encode_basestring_ascii, column)) if kind is str else column)
-        value = "[" + leaf + ("," + leaf).join(formats) + inner + "]" if nested else formats[0]
-        parts.append(encode_basestring_ascii(key).replace("%", "%%") + ": " + value)
-    template = "{" + inner + ("," + inner).join(parts) + item + "}"
-    return "[" + item + ("," + item).join(map(template.__mod__, zip(*columns))) + pad + "]"
+    return json_text(report.to_dict()) + "\n"
 
 
 def _fmt(value) -> str:

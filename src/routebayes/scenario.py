@@ -17,6 +17,8 @@ a ValidationError at the record's path; InfeasibleConstraints passes through wit
 Routes are read a column at a time: the checks above, ``economics.ROUTE_RULES`` (which ``Route`` applies) and the
 route-fleet rule (``economics.fleet_candidates``) run over whole columns, and each Route is then built unchecked.
 Only when a check fails are the routes read record by record, which raises the first error in file order.
+
+``json_text`` is the package's one JSON writer, for scenarios and reports alike.
 """
 
 from __future__ import annotations
@@ -365,14 +367,38 @@ def dump_scenario(scenario: Scenario) -> dict:
     return round_tree(dict(scenario.source))
 
 
-@dataclass(frozen=True)
-class JsonText:
-    text: str  # JSON text written for its place in a tree, indent included: ``json_text`` returns it as it stands
+_CELLS = {str: "%s", int: "%r", float: "%r"}  # each as json_text writes it, a str once escaped
+
+
+def _rows_json(rows: list, pad: str) -> str | None:
+    """``json_text(rows, pad)``, for rows whose first is a dict, by a % template made from that record, or None where
+    a record differs from it in keys or value types or holds other than a str, int, finite float or nonempty list of
+    those."""
+    keys = tuple(rows[0])
+    if not keys or any(type(row) is not dict or tuple(row) != keys for row in rows):
+        return None
+    item, inner, leaf = pad + "  ", pad + "    ", pad + "      "
+    parts, columns = [], []
+    for key, cells in zip(keys, zip(*map(dict.values, rows))):  # the records' values line up: their keys do
+        nested, formats = type(cells[0]) is list, []
+        if nested and not (cells[0] and all(type(cell) is list and len(cell) == len(cells[0]) for cell in cells)):
+            return None
+        for column in (zip(*cells) if nested else [cells]):
+            kind = type(column[0])
+            if kind not in _CELLS or set(map(type, column)) != {kind} or (
+                    kind is float and not all(map(_MAX.__ge__, map(abs, column)))):  # false for NaN too
+                return None
+            formats.append(_CELLS[kind])
+            columns.append(list(map(encode_basestring_ascii, column)) if kind is str else column)
+        value = "[" + leaf + ("," + leaf).join(formats) + inner + "]" if nested else formats[0]
+        parts.append(encode_basestring_ascii(key).replace("%", "%%") + ": " + value)
+    template = "{" + inner + ("," + inner).join(parts) + item + "}"
+    return "[" + item + ("," + item).join(map(template.__mod__, zip(*columns))) + pad + "]"
 
 
 def json_text(value, pad: str = "\n") -> str:
     """The text of ``json.dumps(value, indent=2, allow_nan=False)`` for trees of dict, list, str, int, float, bool
-    and None, in one pass: with ``indent`` set, the standard encoder runs a Python generator per container."""
+    and None in one pass (``json.dumps`` runs a generator per container), a list of like records by one template."""
     if isinstance(value, float):
         if not abs(value) <= _MAX:  # false for NaN too
             raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
@@ -385,13 +411,13 @@ def json_text(value, pad: str = "\n") -> str:
         return int.__repr__(value)
     inner = pad + "  "
     if isinstance(value, list):
+        if value and type(value[0]) is dict and (text := _rows_json(value, pad)) is not None:
+            return text
         items = [json_text(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
     if isinstance(value, dict):
         items = [encode_basestring_ascii(k) + ": " + json_text(v, inner) for k, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
-    if type(value) is JsonText:
-        return value.text
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 

@@ -3,7 +3,8 @@
 * ``round12_columns`` against ``round12`` on every finite double, in value and in the sign of zero.
 * The route loader, which reads the route records a column at a time, against the record-by-record reading it
   falls back to: the same routes, field types included, or the same error type, path and text.
-* ``report_to_json``, which writes the route rows with one % template, against ``json_text`` of the whole report.
+* ``json_text``, which writes a list of like records with one % template, against the standard library's
+  ``json.dumps(indent=2)``: golden reports, scenario files and records nested at any depth.
 """
 
 import json
@@ -18,8 +19,9 @@ from hypothesis import strategies as st
 from routebayes import scenario
 from routebayes.economics import ROUTE_NUMBERS
 from routebayes.errors import RouteBayesError
-from routebayes.report import Report, _rows_json, report_to_json
-from routebayes.scenario import json_text, round12, round12_columns, scenario_from_dict
+from routebayes.report import Report, report_to_json
+from routebayes.scenario import _rows_json, dump_scenario, json_text, load_scenario, round12, round12_columns
+from routebayes.scenario import scenario_from_dict, scenario_to_json
 from test_route_columns import documents
 
 MAX = sys.float_info.max
@@ -162,6 +164,13 @@ def test_route_columns_load_as_the_records_do(doc):
 # ------------------------------------------------------------------ JSON text
 
 GOLDEN = sorted([*(DATA / "golden").glob("*.json"), *(DATA / "size_limit").glob("*.json")])
+SCENARIOS = sorted([*(DATA / "corpus").glob("*.json"), *(DATA.parent.parent / "scenarios").glob("*.json"),
+                    *(DATA / "golden" / "inputs").glob("*.json")])
+
+
+def dumps(value):
+    """The standard library's text, which ``json_text`` stands in for."""
+    return json.dumps(value, indent=2, allow_nan=False)
 
 
 def test_golden_reports_are_written_as_json_text_writes_them():
@@ -169,18 +178,28 @@ def test_golden_reports_are_written_as_json_text_writes_them():
     for path in GOLDEN:
         text = path.read_text(encoding="utf-8")
         report = Report.from_dict(json.loads(text))
-        assert report_to_json(report) == json_text(report.to_dict()) + "\n" == text, path.name
+        assert report_to_json(report) == dumps(report.to_dict()) + "\n" == text, path.name
         if report.evaluation and report.evaluation["routes"]:
             assert _rows_json(report.evaluation["routes"], "\n    ") is not None, path.name
             templated += 1
     assert templated >= 5
 
 
-def written(write, report):
+def test_scenario_files_are_written_as_json_dumps_writes_them():
+    templated = 0
+    for path in SCENARIOS:
+        loaded_scenario = load_scenario(path)
+        doc = dump_scenario(loaded_scenario)
+        assert scenario_to_json(loaded_scenario) == dumps(doc) + "\n", path.name
+        templated += "routes" in doc and _rows_json(doc["routes"], "\n  ") is not None
+    assert templated >= 1
+
+
+def written(write, value):
     try:
-        return write(report)
+        return write(value)
     except (ValueError, TypeError) as exc:
-        return type(exc).__name__, str(exc)
+        return type(exc).__name__
 
 
 FIGURES = st.floats(-1e12, 1e12)
@@ -236,7 +255,38 @@ def reports(draw):
 @given(reports())
 def test_route_rows_are_written_as_json_text_writes_them(drawn):
     report, change = drawn
-    want = written(lambda r: json_text(r.to_dict()) + "\n", report)
+    want = written(lambda r: dumps(r.to_dict()) + "\n", report)
     assert written(report_to_json, report) == want
     if change == "none" and report.evaluation["routes"]:
         assert _rows_json(report.evaluation["routes"], "\n    ") is not None
+
+
+# A cell that breaks a record's likeness, half the time one that the template cannot write at all.
+CELLS = st.one_of(st.sampled_from([math.inf, -math.inf, math.nan, None, True, [], {}, {"a": 1}, [[1]], [1, 1.5],
+                                   [1.0, math.inf]]),
+                  st.one_of(IDS, st.integers(-10**20, 10**20), FIGURES, st.lists(FIGURES, min_size=1, max_size=3)))
+
+
+@st.composite
+def nested_records(draw):
+    """A list of records with one key set, most alike in value types, at some depth of dicts and lists."""
+    keys = draw(st.lists(IDS, unique=True, max_size=4))
+    kinds = [draw(st.sampled_from([IDS, st.integers(0, 99), FIGURES, st.lists(FIGURES, min_size=2, max_size=2)]))
+             for _ in keys]
+    records = [dict(zip(keys, (draw(kind) for kind in kinds))) for _ in range(draw(st.integers(1, 4)))]
+    alike = not draw(st.integers(0, 3))  # else one cell is drawn from anything
+    if keys and not alike:
+        draw(st.sampled_from(records))[draw(st.sampled_from(keys))] = draw(CELLS)
+    tree, depth = records, 0
+    for wrap in draw(st.lists(st.sampled_from(["dict", "list"]), max_size=4)):
+        tree, depth = ({"next": 1.5, draw(IDS): tree} if wrap == "dict" else [tree, "next"]), depth + 1
+    return tree, records, depth, bool(keys) and alike
+
+
+@SETTINGS
+@given(nested_records())
+def test_records_at_any_depth_are_written_as_json_dumps_writes_them(drawn):
+    tree, records, depth, alike = drawn
+    assert written(json_text, tree) == written(dumps, tree)
+    if alike:
+        assert _rows_json(records, "\n" + "  " * depth) is not None

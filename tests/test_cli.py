@@ -199,7 +199,8 @@ class TestExitCodes:
         assert main(["rm", "--scenario", path, "--format", "json"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: stage rm: rm_legs[hub_capital_leg]: overflow encountered")
+        assert err == ("error: stage rm: rm_legs[hub_capital_leg]: a revenue figure at fare_high 1e+308, "
+                       "fare_low 1e+307 and denied_cost 450.0 passes the float range\n")
         assert "Traceback" not in err
 
     def test_rm_terms_summing_past_the_float_range_is_one(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from routebayes import rm
+from routebayes.cli import main
 from routebayes.economics import range_feasible
 from routebayes.errors import RouteBayesError, ValidationError
 from routebayes.pipeline import STAGES, evaluate_routes, mean_likelihoods, run_pipeline
@@ -320,18 +321,81 @@ def test_scenario_built_in_python_without_fleets_names_its_first_route():
     assert caught.value.path == "routes[hub_coastal]"
 
 
-def test_total_probability_rounded_past_one_is_a_typed_error():
-    """Weights that sum to one up to rounding and likelihoods clamped to 1.0 give a total of 1 + 2**-52, which
-    the planner refuses; the refusal names the routes, so the command line reports it as a validation error."""
-    scenario = scenario_from_dict({
-        "schema_version": "1", "weights": [0.726633331009591, 0.12995972833530273, 0.1434069406551063],
-        "anchors": {"service": {"worst": 0, "best": 0.5}, "capital": {"worst": 1e7, "best": 1e6},
-                    "cost": {"worst": -1e5, "best": 1.0}, "epsilon": 5e-324},
-        "fleets": [{"name": "jet", "seats": 150, "range_km": 5000, "utilization_block_hours_per_week": 60}],
-        "routes": [{"id": "r", "origin": "A", "destination": "B", "distance_km": 800, "demand_pax_per_week": 900,
-                    "average_fare": 1500, "block_hours_per_flight": 2, "cost_per_block_hour": 3000,
-                    "fixed_cost_per_flight": 500, "service_score": 0.9, "tied_capital": 1e5}],
-    })
-    with pytest.raises(ValidationError, match=r"^stage plan: routes: total_probability must be in \[0, 1\], "
-                                              r"got 1\.0000000000000002$"):
-        run_pipeline(scenario, ["plan"])
+# Weights that sum to one up to rounding and likelihoods clamped to 1.0 give a total probability of 1 + 2**-52.
+ROUNDED_PAST_ONE = {
+    "schema_version": "1", "weights": [0.726633331009591, 0.12995972833530273, 0.1434069406551063],
+    "anchors": {"service": {"worst": 0, "best": 0.5}, "capital": {"worst": 1e7, "best": 1e6},
+                "cost": {"worst": -1e5, "best": 1.0}, "epsilon": 5e-324},
+    "fleets": [{"name": "jet", "seats": 150, "range_km": 5000, "utilization_block_hours_per_week": 60}],
+    "routes": [{"id": "r", "origin": "A", "destination": "B", "distance_km": 800, "demand_pax_per_week": 900,
+                "average_fare": 1500, "block_hours_per_flight": 2, "cost_per_block_hour": 3000,
+                "fixed_cost_per_flight": 500, "service_score": 0.9, "tied_capital": 1e5}],
+}
+# The same route under a box whose optimized weights sum to 1 + 2**-52 as well.
+ROUNDED_BOX = {"lower": [0.074259188099, 0.039903377154, 0.174777117342],
+               "upper": [0.250894058242, 0.814487478387, 0.866707011884]}
+
+
+def test_total_probability_rounded_past_one_still_plans():
+    report = run_pipeline(scenario_from_dict(ROUNDED_PAST_ONE), ["plan"])
+    assert report.plan["per_route_scores"]["r"] > 0
+    assert report.plan["selected"] == []  # the scenario lists no aircraft
+
+
+def test_optimized_total_rounded_past_one_plans_at_the_command_line(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(ROUNDED_PAST_ONE | {"constraints": ROUNDED_BOX}))
+    assert main(["validate", "--scenario", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["plan", "--scenario", str(path), "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["plan"]["per_route_scores"]["r"] > 0
+
+
+SHARE = st.floats(0.01, 1.0)
+# Lower bounds below a third and upper bounds above it, so that the box meets the simplex.
+BOXES = st.fixed_dictionaries({"lower": st.lists(st.floats(0.0, 0.33), min_size=3, max_size=3),
+                               "upper": st.lists(st.floats(0.34, 1.0), min_size=3, max_size=3)})
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.tuples(SHARE, SHARE, SHARE), BOXES, st.floats(0.01, 0.9), st.floats(1e5, 9e6), st.floats(-9e4, 1.2e6))
+@example(ROUNDED_PAST_ONE["weights"], ROUNDED_BOX, 0.5, 1e6, 1.0)
+def test_no_plan_is_refused_for_rounding(shares, box, service, capital, cost):
+    """Likelihoods clamped to 1.0 by an epsilon of 5e-324 (the route's service score 0.9, tied capital 1e5 and
+    profit 1,298,000 lie at or past every best anchor) under weights that sum to 1 only up to rounding."""
+    doc = ROUNDED_PAST_ONE | {"weights": [v / math.fsum(shares) for v in shares], "constraints": box,
+                              "availability": {"jet": 10},
+                              "anchors": {"service": {"worst": 0, "best": service},
+                                          "capital": {"worst": 1e7, "best": capital},
+                                          "cost": {"worst": -1e5, "best": cost}, "epsilon": 5e-324}}
+    scenario = scenario_from_dict(doc)
+    for stages in (["evaluate", "plan"], ["evaluate", "optimize", "plan"]):
+        report = run_pipeline(scenario, stages)
+        assert report.evaluation["routes"][0]["likelihoods"] == [1.0, 1.0, 1.0]
+        assert report.plan["selected"] == ["r"]
+
+
+def rm_leg(**change):
+    return {"schema_version": "1", "rm_legs": [
+        {"id": "L", "capacity": 100, "fare_high": 1e3, "fare_low": 100.0, "show_up_prob": 0.9,
+         "demand_high": {"kind": "poisson", "mean": 30}, "demand_low": {"kind": "poisson", "mean": 90}, **change}]}
+
+
+@pytest.mark.parametrize("fare_high", [1e200, 1e308])  # numpy overflows in square (the std) and in multiply
+def test_rm_overflow_names_the_fares_and_denied_cost(fare_high):
+    with pytest.raises(ValidationError) as caught:
+        run_pipeline(scenario_from_dict(rm_leg(fare_high=fare_high)), ["rm"], trials=20)
+    assert str(caught.value) == (f"stage rm: rm_legs[L]: a revenue figure at fare_high {fare_high!r}, "
+                                 "fare_low 100.0 and denied_cost 0.0 passes the float range")
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(DOCUMENT)
+def test_no_rm_refusal_carries_numpy_text(doc):
+    try:
+        scenario = scenario_from_dict(doc)
+        run_pipeline(scenario, ["rm"], trials=20)
+    except RouteBayesError as exc:
+        assert "encountered in" not in str(exc)
