@@ -1,6 +1,7 @@
 """Command line interface.
 
-Subcommands: evaluate, optimize, plan, rm, validate. Exit codes: 0 success, 1 validation,
+Subcommands: evaluate, optimize, plan, rm, validate. A route command (evaluate, optimize, plan) runs every route
+stage of ``pipeline.STAGES`` up to its own; rm runs the rm stage alone. Exit codes: 0 success, 1 validation,
 parse or stage error, 2 infeasible constraints or a usage error (argparse), 3 I/O error.
 """
 
@@ -10,16 +11,12 @@ import argparse
 import sys
 
 from .errors import InfeasibleConstraints, IoError, RouteBayesError
-from .pipeline import DEFAULT_TRIALS, run_pipeline
+from .pipeline import DEFAULT_TRIALS, STAGES, run_pipeline
 from .report import FORMATS, emit_report
 from .scenario import load_scenario
 
-_STAGES_FOR = {
-    "evaluate": ("evaluate",),
-    "optimize": ("evaluate", "optimize"),
-    "plan": ("evaluate", "optimize", "plan"),
-    "rm": ("rm",),
-}
+# a route command runs every route stage up to its own; rm runs alone
+_STAGES_FOR = {**{name: STAGES[: i + 1] for i, name in enumerate(STAGES[:-1])}, "rm": ("rm",)}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -140,13 +140,7 @@ def _rm_leg(leg, trials: int, seed: int) -> dict:
         "expected_revenue": round12(expected),
         "fcfs_revenue": round12(fcfs),
         "uplift_pct": uplift,
-        "simulation": {
-            "mean_revenue": round12(summary.mean_revenue),
-            "mean_load_factor": round12(summary.mean_load_factor),
-            "denied_rate": round12(summary.denied_rate),
-            "spill_rate": round12(summary.spill_rate),
-            "mean_revenue_se": round12(summary.mean_revenue_se),
-        },
+        "simulation": {name: round12(value) for name, value in vars(summary).items() if name != "trials"},
     }
     check_finite(row | row["simulation"])
     return row
@@ -181,7 +175,7 @@ def run_pipeline(
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     rows = None
-    if any(s in requested for s in ("evaluate", "optimize", "plan")):
+    if any(s in requested for s in STAGES[:-1]):  # the route stages
         with _stage_context("evaluate"):
             rows = evaluate_routes(scenario)
     evaluation = _evaluation_section(scenario, rows) if "evaluate" in requested else None

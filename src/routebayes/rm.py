@@ -357,8 +357,13 @@ def simulate_leg(problem: LegRMProblem, policy: RMPolicy, trials: int, seed: int
     boarded = np.minimum(survivors, problem.capacity, out=acc_high)
     denied = np.subtract(survivors, boarded, out=survivors)
     revenue -= problem.denied_cost * denied
-    se = float(revenue.std(ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # a moment past the float range is taken again, scaled
+        moments = [revenue.mean(), revenue.std(ddof=1) / math.sqrt(trials) if trials > 1 else 0.0]
+    if not np.isfinite(moments).all():  # on revenue / 2**e, exact, with e the binary exponent of max|revenue|
+        scaled = np.ldexp(revenue, -(e := int(np.frexp(np.abs(revenue).max())[1])))
+        moments = np.ldexp([scaled.mean(), scaled.std(ddof=1) / math.sqrt(trials) if trials > 1 else 0.0], e)
+    mean, se = map(float, moments)
     return LegSimulationSummary(
-        trials=trials, mean_revenue=float(revenue.mean()), mean_load_factor=float((boarded / problem.capacity).mean()),
+        trials=trials, mean_revenue=mean, mean_load_factor=float((boarded / problem.capacity).mean()),
         denied_rate=float(denied.sum()) / total_survivors if total_survivors else 0.0,
         spill_rate=float(spilled) / total_requests if total_requests else 0.0, mean_revenue_se=se)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from routebayes.cli import main
+from routebayes.cli import _STAGES_FOR, main
 
 DEMO = str(Path(__file__).parents[1] / "scenarios" / "demo.json")
 DATA = Path(__file__).parent / "data"
@@ -203,6 +204,16 @@ class TestExitCodes:
                        "fare_low 1e+307 and denied_cost 450.0 passes the float range\n")
         assert "Traceback" not in err
 
+    def test_rm_leg_whose_squared_deviations_pass_the_float_range_runs(self, tmp_path, capsys):
+        """At fare_high 1e200 every figure is in range; only the simulated revenue's squared deviations are not."""
+        path = write(tmp_path, {"schema_version": "1", "rm_legs": [
+            {"id": "L", "capacity": 100, "fare_high": 1e200, "fare_low": 100.0, "show_up_prob": 0.9,
+             "demand_high": {"kind": "poisson", "mean": 30}, "demand_low": {"kind": "poisson", "mean": 90}}]})
+        assert main(["rm", "--scenario", path, "--format", "json"]) == 0
+        (leg,) = json.loads(capsys.readouterr().out)["rm"]["legs"]
+        figures = [leg["expected_revenue"], leg["fcfs_revenue"], leg["uplift_pct"], *leg["simulation"].values()]
+        assert all(map(math.isfinite, figures))
+
     def test_rm_terms_summing_past_the_float_range_is_one(self, tmp_path, capsys):
         doc = json.loads(Path(DEMO).read_text())
         # each revenue term is finite, about half the float range, and the two sum past it in any order
@@ -250,6 +261,10 @@ class TestExitCodes:
 
 
 class TestSubcommands:
+    def test_each_command_runs_its_stage_set(self):
+        assert _STAGES_FOR == {"evaluate": ("evaluate",), "optimize": ("evaluate", "optimize"),
+                               "plan": ("evaluate", "optimize", "plan"), "rm": ("rm",)}
+
     def test_evaluate_json_to_file(self, tmp_path):
         out = tmp_path / "report.json"
         code = main(["evaluate", "--scenario", DEMO, "--format", "json", "--out", str(out)])

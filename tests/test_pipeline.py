@@ -3,16 +3,20 @@ import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
+from _oracles import enumerate_best_plan_per_fleet
 from routebayes import rm
 from routebayes.cli import main
 from routebayes.economics import range_feasible
 from routebayes.errors import RouteBayesError, ValidationError
 from routebayes.pipeline import STAGES, evaluate_routes, mean_likelihoods, run_pipeline
+from routebayes.planner import plan_routes
 from routebayes.report import Report, report_to_json
 from routebayes.scenario import load_scenario, round12, scenario_from_dict
 
@@ -248,13 +252,37 @@ DOCUMENT = st.fixed_dictionaries(
 )
 
 
+# Routes of modest figures, so that many plans select some of them and leave others out; at 100 passengers a week
+# or more, the simplest route makes a profit. A route may copy an earlier one's figures, which ties their scores,
+# and each fleet of DOCUMENT ties with the other on every route.
+FIGURES = st.fixed_dictionaries(
+    {"origin": st.just("A"), "destination": st.just("B"), "distance_km": st.floats(1, 5000),
+     "demand_pax_per_week": st.floats(100, 2000), "average_fare": st.floats(50, 500),
+     "block_hours_per_flight": st.floats(0.5, 12), "cost_per_block_hour": st.floats(0, 3000),
+     "fixed_cost_per_flight": st.floats(0, 3000), "service_score": st.floats(0, 1), "tied_capital": st.floats(0, 1e7)},
+    optional={"fleet": st.sampled_from(FLEETS)})
+
+
+@st.composite
+def plannable(draw):
+    """A DOCUMENT with one to twelve aircraft of each fleet and, three times in four (the simplest draw among them),
+    modest routes in place of its own. The legs and the seed, which no plan reads, are left out."""
+    doc = {key: value for key, value in draw(DOCUMENT).items() if key not in ("rm_legs", "seed")}
+    doc["availability"] = draw(st.fixed_dictionaries({name: st.integers(1, 12) for name in FLEETS}))
+    if draw(st.integers(0, 3)) < 3:
+        routes = []
+        for i in range(draw(st.integers(1, 6))):
+            routes.append(dict(draw(st.sampled_from(routes)) if routes and draw(st.booleans()) else draw(FIGURES),
+                               id=f"r{i}"))
+        doc["routes"] = routes
+    return doc
+
+
 def _reject_constant(name):
     raise AssertionError(f"report carries {name}, which is not JSON")
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(DOCUMENT)
-def test_every_loaded_scenario_runs(doc):
+def _runs_every_stage(doc):
     """A document either fails to load with a typed error or runs every stage to a typed end.
 
     Warnings are errors (pyproject.toml), so a numpy overflow that would only warn fails
@@ -270,6 +298,67 @@ def test_every_loaded_scenario_runs(doc):
         except RouteBayesError:
             continue
         json.loads(report_to_json(report), parse_constant=_reject_constant)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(DOCUMENT)
+def test_every_loaded_scenario_runs(doc):
+    _runs_every_stage(doc)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(plannable())
+def test_every_plannable_scenario_runs(doc):
+    _runs_every_stage(doc)
+
+
+def planned_columns(doc):
+    """The plan section of the plan command's report and the candidate columns its plan stage planned over, or
+    None where the document fails to load or to run."""
+    columns = []
+
+    def recorded(*args):
+        columns.append(args)
+        return plan_routes(*args)
+
+    try:
+        with mock.patch("routebayes.pipeline.plan_routes", recorded):
+            plan = run_pipeline(scenario_from_dict(doc), STAGES[:3]).plan
+    except RouteBayesError:
+        return None
+    return plan, columns[0]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(plannable())
+def test_plan_command_selects_the_exhaustive_best_plan(doc):
+    """The selection and total of every plannable document that plans are those of the per-fleet enumeration over
+    the columns that the plan stage was handed."""
+    if (found := planned_columns(doc)) is None:
+        return
+    plan, (ids, fleets, profits, probabilities, aircraft, availability) = found
+    counts = availability.counts
+    scores = [probability * profit for probability, profit in zip(probabilities, profits)]
+    needs = [min(need, counts[fleet] + 1) for need, fleet in zip(aircraft, fleets)]  # the oracle counts in int64
+    total, selected = enumerate_best_plan_per_fleet(ids, scores, fleets, needs, counts)
+    assert plan["selected"] == list(selected)
+    assert plan["total_score"] == round12(total)
+
+
+def test_plannable_documents_mostly_select_a_route():
+    """A plan property checked over plannable() does real work: a quarter of 40 derandomized documents select."""
+    docs = []
+
+    @settings(max_examples=40, derandomize=True, database=None, phases=[Phase.generate], deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(plannable())
+    def draw(doc):
+        docs.append(doc)
+
+    draw()
+    plans = [found[0] for found in map(planned_columns, docs) if found is not None]
+    assert len(docs) == 40
+    assert sum(bool(plan["selected"]) for plan in plans) >= len(docs) / 4
 
 
 DEMO_SCENARIO = load_scenario(DEMO)
@@ -383,7 +472,21 @@ def rm_leg(**change):
          "demand_high": {"kind": "poisson", "mean": 30}, "demand_low": {"kind": "poisson", "mean": 90}, **change}]}
 
 
-@pytest.mark.parametrize("fare_high", [1e200, 1e308])  # numpy overflows in square (the std) and in multiply
+def test_rm_mean_and_se_are_taken_past_an_overflowing_square():
+    """At fare_high 1e200 every figure is in range, but the standard deviation squares deviations near 1e201. The
+    mean and SE are those of the same leg with both fares scaled down by 2**600, scaled back. The command line runs
+    this leg in ``test_cli``."""
+    problem = scenario_from_dict(rm_leg(fare_high=1e200)).rm_legs[0].problem
+    scaled = replace(problem, fare_high=math.ldexp(problem.fare_high, -600),
+                     fare_low=math.ldexp(problem.fare_low, -600))
+    policy = rm.RMPolicy(rm.littlewood_protection(problem), rm.overbooking_limit(problem))
+    with np.errstate(over="raise", invalid="raise"):  # as in the rm stage
+        big, small = (rm.simulate_leg(leg, policy, 20, 5) for leg in (problem, scaled))
+    assert big.mean_revenue_se == math.ldexp(small.mean_revenue_se, 600) > 0
+    assert big.mean_revenue == math.ldexp(small.mean_revenue, 600)
+
+
+@pytest.mark.parametrize("fare_high", [1e308])  # numpy overflows in multiply
 def test_rm_overflow_names_the_fares_and_denied_cost(fare_high):
     with pytest.raises(ValidationError) as caught:
         run_pipeline(scenario_from_dict(rm_leg(fare_high=fare_high)), ["rm"], trials=20)
