@@ -6,7 +6,8 @@ anchors with epsilon clamping, the stand-in for a data-collection model that ups
 supply.
 
 ``evaluate_routes`` scores every route at once in float64 columns; the one-route functions run the same sizing
-helpers, numpy operations that act alike on floats and on columns, so the two agree bit for bit. The scenario loader
+helpers, numpy operations that act alike on floats and on columns, so the two agree bit for bit. The one-route
+functions hold the float-range checks, and ``evaluate_routes`` runs them to name how a failing route fails. The loader
 checks route columns by ``ROUTE_RULES``, which ``Route`` applies, and by ``fleet_candidates``, the route-fleet rule
 as a mask that evaluate_routes applies too; ``check_route_fleet`` names how a route breaks that rule.
 """
@@ -128,24 +129,6 @@ def _profit(route, flights, carried):
         route.block_hours_per_flight * route.cost_per_block_hour + route.fixed_cost_per_flight)
 
 
-def _check_flights(flights, demand, seats, target_load_factor) -> None:
-    if not math.isfinite(flights):
-        raise ValueError(f"demand {demand!r} at load factor {target_load_factor!r} needs more flights "
-                         f"of {seats} seats a week than the float range holds")
-
-
-def _check_aircraft(aircraft, flights, block_hours_per_flight, utilization) -> None:
-    if not math.isfinite(aircraft):
-        raise ValueError(f"{float(flights)!r} flights a week of {block_hours_per_flight!r} block hours at "
-                         f"{utilization!r} block hours per aircraft need more aircraft than the float range holds")
-
-
-def _check_seats(flights, seats, demand) -> None:
-    if not math.isfinite(float(flights) * seats):
-        raise ValueError(f"demand {demand!r} needs {float(flights)!r} flights of {seats} "
-                         "seats a week, more seats than the float range holds")
-
-
 def required_frequency(demand_pax_per_week: float, seats: int, target_load_factor: float) -> int:
     """Weekly flights for the demand: ceil(demand / (seats * target_load_factor)), at least 1 for a positive one."""
     if not (0.0 < target_load_factor <= 1.0):
@@ -155,7 +138,9 @@ def required_frequency(demand_pax_per_week: float, seats: int, target_load_facto
     if not demand_pax_per_week >= 0:  # NaN too
         raise ValueError(f"demand must be >= 0, got {demand_pax_per_week!r}")
     flights = _flights(demand_pax_per_week, seats, target_load_factor)
-    _check_flights(flights, demand_pax_per_week, seats, target_load_factor)
+    if not math.isfinite(flights):
+        raise ValueError(f"demand {demand_pax_per_week!r} at load factor {target_load_factor!r} needs more flights "
+                         f"of {seats} seats a week than the float range holds")
     return int(flights)
 
 
@@ -168,7 +153,9 @@ def aircraft_required(flights_per_week: int, block_hours_per_flight: float, util
     if not block_hours_per_flight > 0:
         raise ValueError(f"block hours must be > 0, got {block_hours_per_flight!r}")
     aircraft = _aircraft(flights_per_week, block_hours_per_flight, utilization)
-    _check_aircraft(aircraft, flights_per_week, block_hours_per_flight, utilization)
+    if not math.isfinite(aircraft):
+        raise ValueError(f"{float(flights_per_week)!r} flights a week of {block_hours_per_flight!r} block hours at "
+                         f"{utilization!r} block hours per aircraft need more aircraft than the float range holds")
     return int(aircraft)
 
 
@@ -202,7 +189,9 @@ def route_profit(route: Route, fleet: FleetType, flights_per_week: int) -> float
         return 0.0
     if not range_feasible(route, fleet):
         raise ValueError(f"route {route.id} is {route.distance_km!r} km but {fleet.name} ranges {fleet.range_km!r} km")
-    _check_seats(flights_per_week, fleet.seats, route.demand_pax_per_week)
+    if not math.isfinite(float(flights_per_week) * fleet.seats):
+        raise ValueError(f"demand {route.demand_pax_per_week!r} needs {float(flights_per_week)!r} flights of "
+                         f"{fleet.seats} seats a week, more seats than the float range holds")
     return _profit(route, flights_per_week, min(route.demand_pax_per_week, flights_per_week * fleet.seats))
 
 
@@ -249,8 +238,9 @@ def evaluate_routes(scenario) -> RouteColumns:
 
     A route takes exactly ``min(key=(-profit, name))`` over the fleets in range that its pin allows, in scenario
     order, so a NaN profit neither replaces nor is replaced. The first failing route in file order raises a
-    ValidationError at ``routes[<id>]``: ``check_route_fleet``, then flights, aircraft or weekly seats not finite
-    for its candidates in scenario order, then a non-finite likelihood, zero total probability, profit or score.
+    ValidationError at ``routes[<id>]``: ``check_route_fleet``, then ``required_frequency``, ``aircraft_required``
+    and ``route_profit`` on each candidate in scenario order, then a non-finite likelihood, zero total probability,
+    profit or score.
     The first two kinds are decided before any route's figures are gathered by its fleet.
     """
     routes, fleets, weights, anchors = scenario.routes, scenario.fleets, scenario.weights, scenario.anchors
@@ -261,10 +251,10 @@ def evaluate_routes(scenario) -> RouteColumns:
     def fault(i):
         route, path = routes[i], f"routes[{routes[i].id}]"
         check_route_fleet(route, {fleet.name: fleet for fleet in fleets}, path)
-        for option, n, planes in compress(zip(fleets, flights[:, i], aircraft[:, i]), candidates[:, i]):
-            at(path, _check_flights, n, route.demand_pax_per_week, option.seats, scenario.target_load_factor)
-            at(path, _check_aircraft, planes, n, route.block_hours_per_flight, option.utilization_block_hours_per_week)
-            at(path, _check_seats, n, option.seats, route.demand_pax_per_week)
+        for option in compress(fleets, candidates[:, i]):
+            n = at(path, required_frequency, route.demand_pax_per_week, option.seats, scenario.target_load_factor)
+            at(path, aircraft_required, n, route.block_hours_per_flight, option.utilization_block_hours_per_week)
+            at(path, route_profit, route, option, n)
         at(path, posterior, weights, at(path, LikelihoodVector, likelihoods[:, i].tolist()))
         at(path, check_finite, {"profit": chosen[i].item(), "score": columns.score[i].item()})
 

@@ -122,14 +122,14 @@ def _plan_section(scenario: Scenario, plan: NetworkPlan, weights_label: str) -> 
 
 def _rm_leg(leg, trials: int, seed: int) -> dict:
     problem = leg.problem
-    try:  # under _rm_section's errstate, an overflow in the kernels raises
+    try:  # an overflow in the kernels raises: numpy's under _rm_section's errstate, math.fsum's always
         protection = littlewood_protection(problem)
         limit = overbooking_limit(problem)
         policy = RMPolicy(protection_level=protection, booking_limit=limit)
         expected = expected_revenue(problem, policy)
         fcfs = fcfs_baseline(problem)
         summary = simulate_leg(problem, policy, trials, seed)
-    except FloatingPointError as exc:
+    except ArithmeticError as exc:
         raise ValueError(f"a revenue figure at fare_high {problem.fare_high!r}, fare_low {problem.fare_low!r} and "
                          f"denied_cost {problem.denied_cost!r} passes the float range") from exc
     uplift = round12(100.0 * (expected - fcfs) / fcfs) if fcfs != 0.0 else None

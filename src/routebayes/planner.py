@@ -63,8 +63,7 @@ class NetworkPlan:
     used: dict[str, int]
     total_score: float
     per_route_scores: dict[str, float]
-    heuristic: bool = False
-    """Always False: every plan is exact; kept so report readers find the key."""
+    heuristic = False  # a constant, not a field: every plan is exact; kept so report readers find the key
 
 
 def score_candidate(candidate: RouteCandidate) -> float:

@@ -63,13 +63,15 @@ def best_vertex_objective(lower, upper, likelihoods):
 def enumerate_best_plan(ids, scores, fleet_names, needs, availability):
     """Exhaustive max-score plan over positive-score candidates.
 
-    Candidates are filtered to score > 0, sorted by id, and every subset is
-    scored with a left-to-right sum in id order. Of two tied subsets, the one
+    Candidates are filtered to score > 0 and to a need within their fleet's
+    availability (no other fits, and the int64 arrays then hold every need),
+    sorted by id, and every subset is scored with a left-to-right sum in id
+    order. Of two tied subsets, the one
     holding the smallest id on which they differ wins, so a route whose score
     is lost to rounding is still taken. Fast path: numpy subset matrices.
     """
     order = sorted(range(len(ids)), key=lambda i: ids[i])
-    keep = [i for i in order if scores[i] > 0.0]
+    keep = [i for i in order if scores[i] > 0.0 and needs[i] <= availability[fleet_names[i]]]
     n = len(keep)
     if n == 0:
         return 0.0, ()

@@ -226,7 +226,8 @@ class TestExitCodes:
         assert main(["rm", "--scenario", path, "--format", "json"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: stage rm: rm_legs[hub_capital_leg]: intermediate overflow in fsum\n"
+        assert err == ("error: stage rm: rm_legs[hub_capital_leg]: a revenue figure at fare_high 1.7976931347e+308, "
+                       "fare_low 1.0 and denied_cost 0.0 passes the float range\n")
 
     def test_plan_scores_past_the_float_range_is_one(self, tmp_path, capsys):
         doc = json.loads(Path(DEMO).read_text())

@@ -339,8 +339,7 @@ def test_plan_command_selects_the_exhaustive_best_plan(doc):
     plan, (ids, fleets, profits, probabilities, aircraft, availability) = found
     counts = availability.counts
     scores = [probability * profit for probability, profit in zip(probabilities, profits)]
-    needs = [min(need, counts[fleet] + 1) for need, fleet in zip(aircraft, fleets)]  # the oracle counts in int64
-    total, selected = enumerate_best_plan_per_fleet(ids, scores, fleets, needs, counts)
+    total, selected = enumerate_best_plan_per_fleet(ids, scores, fleets, aircraft, counts)
     assert plan["selected"] == list(selected)
     assert plan["total_score"] == round12(total)
 
@@ -407,6 +406,17 @@ def test_scenario_built_in_python_without_fleets_names_its_first_route():
     with pytest.raises(ValidationError, match=r"^stage evaluate: routes\[hub_coastal\]: "
                                               "no fleet with sufficient range for this route$") as caught:
         run_pipeline(scenario, ["evaluate"])
+    assert caught.value.path == "routes[hub_coastal]"
+
+
+def test_scenario_built_in_python_with_a_zero_load_factor_names_the_load_factor_rule():
+    """A positive demand at load factor 0 needs infinitely many flights; the route names the rule it breaks."""
+    (route, *_) = DEMO_SCENARIO.routes
+    scenario = replace(DEMO_SCENARIO, routes=(route,), target_load_factor=0.0)
+    assert route.demand_pax_per_week > 0
+    with pytest.raises(ValidationError, match=r"^routes\[hub_coastal\]: "
+                                              r"target load factor must be in \(0, 1\], got 0\.0$") as caught:
+        evaluate_routes(scenario)
     assert caught.value.path == "routes[hub_coastal]"
 
 
@@ -486,12 +496,20 @@ def test_rm_mean_and_se_are_taken_past_an_overflowing_square():
     assert big.mean_revenue == math.ldexp(small.mean_revenue, 600)
 
 
-@pytest.mark.parametrize("fare_high", [1e308])  # numpy overflows in multiply
-def test_rm_overflow_names_the_fares_and_denied_cost(fare_high):
+@pytest.mark.parametrize("change", [
+    {"fare_high": 1e308},  # numpy overflows in multiply
+    # each revenue term is finite, about half the float range, and math.fsum overflows summing them
+    {"fare_high": 1.7976931347e308, "fare_low": 1.0, "show_up_prob": 1.0,
+     "demand_low": {"kind": "discrete", "pmf": [0.5, 0.5000000009]},
+     "demand_high": {"kind": "discrete", "pmf": [0.0, 1.0]}},
+], ids=["1e+308", "fsum"])
+def test_rm_overflow_names_the_fares_and_denied_cost(change):
+    doc = rm_leg(**change)
+    leg = doc["rm_legs"][0]
     with pytest.raises(ValidationError) as caught:
-        run_pipeline(scenario_from_dict(rm_leg(fare_high=fare_high)), ["rm"], trials=20)
-    assert str(caught.value) == (f"stage rm: rm_legs[L]: a revenue figure at fare_high {fare_high!r}, "
-                                 "fare_low 100.0 and denied_cost 0.0 passes the float range")
+        run_pipeline(scenario_from_dict(doc), ["rm"], trials=20)
+    assert str(caught.value) == (f"stage rm: rm_legs[L]: a revenue figure at fare_high {leg['fare_high']!r}, "
+                                 f"fare_low {leg['fare_low']!r} and denied_cost 0.0 passes the float range")
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])

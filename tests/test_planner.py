@@ -169,6 +169,10 @@ class TestPerFleetOracle:
             assert (oracle(candidates, availability, enumerate_best_plan_per_fleet)
                     == oracle(candidates, availability))
 
+    def test_oracle_takes_a_need_past_int64(self):
+        # a need past 2**63 cannot fit, so the oracle drops it before counting needs in int64
+        assert enumerate_best_plan_per_fleet(["a", "b"], [1.0, 2.0], ["f", "f"], [1, 2**70], {"f": 3}) == (1.0, ("a",))
+
 
 class TestEdgeCases:
     def test_exact_ties_beyond_availability(self):
